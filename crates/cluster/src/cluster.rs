@@ -53,9 +53,8 @@ impl Cell {
         }
         // Units already committed to this station's in-flight transfers
         // are on the wire, not new demand — subtract them so the
-        // arbiter stops double-counting bandwidth (PR 7 follow-on).
-        // Zero outside in-flight mode, keeping the instantaneous path
-        // bit-identical.
+        // arbiter stops double-counting bandwidth. Zero under instant
+        // transfers, which commit nothing.
         let committed = self
             .station
             .flight_ledger()

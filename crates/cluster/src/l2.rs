@@ -195,7 +195,7 @@ impl RegionalL2 {
         let observing = recorder.enabled();
         for &o in station.last_downloaded() {
             let version = station.server().version_of(o);
-            // In in-flight mode a launch is not yet a resident copy;
+            // On a timed link a launch is not yet a resident copy;
             // only resident versions may enter the directory (a
             // neighbor will install what we claim to hold).
             if station.cached_version_of(o) != Some(version) {

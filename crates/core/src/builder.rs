@@ -1,12 +1,11 @@
 //! Typed construction of a [`BaseStationSim`].
 //!
-//! [`StationBuilder`] replaces the old two-argument constructor with a
-//! fluent API that names each policy explicitly, validates the
-//! configuration once at build time (returning [`crate::error::Error`]
-//! instead of panicking mid-simulation), and wires in the observability
-//! [`Recorder`] — [`NullRecorder`] by default, which keeps the
-//! steady-state hot path allocation-free and within noise of an
-//! uninstrumented build.
+//! [`StationBuilder`] is the only way to build a station: a fluent API
+//! that names each policy explicitly, validates the configuration once
+//! at build time (returning [`crate::error::Error`] instead of panicking
+//! mid-simulation), and wires in the observability [`Recorder`] —
+//! [`NullRecorder`] by default, which keeps the steady-state hot path
+//! allocation-free and within noise of an uninstrumented build.
 //!
 //! ```
 //! use basecache_core::builder::StationBuilder;
@@ -34,9 +33,9 @@ use crate::station::{BaseStationSim, Estimation, Policy};
 ///
 /// Exactly one policy method (or the [`StationBuilder::policy`] escape
 /// hatch) must be called before [`StationBuilder::build`]; calling
-/// another replaces the previous choice. Everything else has the same
-/// defaults the old constructor had: oracle recency estimation, the
-/// paper's decay model and inverse-ratio scoring, and a no-op recorder.
+/// another replaces the previous choice. Everything else defaults to the
+/// paper's setting: oracle recency estimation, the paper's decay model
+/// and inverse-ratio scoring, instant transfers, and a no-op recorder.
 #[derive(Debug)]
 pub struct StationBuilder {
     catalog: Catalog,
@@ -158,13 +157,16 @@ impl StationBuilder {
         self
     }
 
-    /// Model fixed-network transfer time: downloads occupy the link for
+    /// Configure the station's in-flight ledger. On a timed link
+    /// (`bandwidth_per_round > 0`) downloads occupy the link for
     /// `size / bandwidth` rounds before landing, requests for an object
     /// already on the wire join the in-flight fetch (single-flight,
     /// unless [`InFlightConfig::naive`]), and the planner subtracts
     /// committed bandwidth from each round's budget. Requires the
-    /// on-demand policy; `bandwidth_per_round == 0` means instantaneous
-    /// transfers, bit-identical to a station built without this call.
+    /// on-demand policy. Without this call the ledger is
+    /// `InFlightConfig::coalescing(0)`: instant transfers that land in
+    /// their launch round, the paper's model; `bandwidth_per_round == 0`
+    /// here is that same round.
     pub fn in_flight(mut self, config: InFlightConfig) -> Self {
         self.flight = Some(config);
         self
@@ -188,18 +190,15 @@ impl StationBuilder {
         if self.flight.is_some() && !matches!(policy, Policy::OnDemand { .. }) {
             return Err(ConfigError::InFlightRequiresOnDemand.into());
         }
-        let mut station = BaseStationSim::assemble(
+        Ok(BaseStationSim::assemble(
             self.catalog,
             policy,
             self.estimation,
             self.decay,
             self.scoring,
             self.recorder,
-        );
-        if let Some(config) = self.flight {
-            station.install_flight(config);
-        }
-        Ok(station)
+            self.flight.unwrap_or(InFlightConfig::coalescing(0)),
+        ))
     }
 
     /// Validate the configuration and construct a [`LatencyAwareSim`]
@@ -293,30 +292,5 @@ mod tests {
             2,
             "round robin won: refreshes 2 per tick regardless of requests"
         );
-    }
-
-    #[test]
-    fn builder_defaults_match_the_legacy_constructor() {
-        let reqs = [basecache_workload::GeneratedRequest {
-            object: basecache_net::ObjectId(0),
-            target_recency: 1.0,
-        }];
-        let mut built = StationBuilder::new(Catalog::uniform_unit(4))
-            .on_demand(OnDemandPlanner::paper_default(), 10)
-            .build()
-            .unwrap();
-        #[allow(deprecated)]
-        let mut legacy = BaseStationSim::new(
-            Catalog::uniform_unit(4),
-            Policy::OnDemand {
-                planner: OnDemandPlanner::paper_default(),
-                budget_units: 10,
-            },
-        );
-        for _ in 0..3 {
-            assert_eq!(built.step(&reqs), legacy.step(&reqs));
-            built.apply_update_wave();
-            legacy.apply_update_wave();
-        }
     }
 }

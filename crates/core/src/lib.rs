@@ -84,8 +84,6 @@ pub use engine::{ActiveObject, RoundEngine};
 pub use error::{ConfigError, Error};
 pub use estimator::{RateEstimator, RecencyEstimator, ReportEstimator, TtlEstimator};
 pub use outcome::RoundOutcome;
-#[allow(deprecated)]
-pub use outcome::{LatencyStepOutcome, StepOutcome};
 pub use pipeline::{LatencyAwareSim, LatencyStats};
 pub use planner::{DownloadPlan, LowestRecencyFirst, OnDemandPlanner, SolverChoice};
 pub use recency::{DecayModel, ScoringFunction};

@@ -1,20 +1,11 @@
-//! The unified per-round outcome: one [`RoundOutcome`] type and one
-//! `step` contract shared by `BaseStationSim::step`, `step_engine`, and
-//! the latency-aware pipeline.
+//! The per-round outcome: one [`RoundOutcome`] type shared by every
+//! round-step surface — `BaseStationSim::step`, `step_engine` and the
+//! latency-aware pipeline.
 //!
-//! Historically the instantaneous station returned a `StepOutcome` and
-//! the latency pipeline a divergent near-copy (`LatencyStepOutcome`);
-//! the in-flight download subsystem would have forced a third. Instead
-//! every round-step surface now returns this superset: the instantaneous
-//! path simply leaves the in-flight fields at their identities (`arrived
-//! == objects_downloaded`, `launched == objects_downloaded`, zero joins,
-//! everything served immediately, nothing still waiting), so the union
-//! costs the fast path nothing.
-//!
-//! The old names survive for one release as deprecated type aliases
-//! below. Because an alias *is* the unified type, no `From` conversion
-//! is needed — existing `let o: StepOutcome = sim.step(..)` code
-//! compiles (with a deprecation warning) against the exact same struct.
+//! The station's one staged round fills every field. Under instant
+//! transfers (the paper's model) the in-flight fields sit at their
+//! identities: `arrived == launched == objects_downloaded`, zero joins,
+//! everything served immediately, nothing still waiting.
 
 /// What one scheduling round did, returned by every round-step surface
 /// ([`crate::BaseStationSim::step`], [`crate::BaseStationSim::step_engine`],
@@ -24,7 +15,7 @@ pub struct RoundOutcome {
     /// The tick (round number) this outcome describes.
     pub tick: u64,
     /// Distinct objects whose fresh copies entered the cache this round
-    /// (in-flight mode: transfers that *arrived* this round).
+    /// (transfers that *arrived* this round).
     pub objects_downloaded: usize,
     /// Data units of those arrivals.
     pub units_downloaded: u64,
@@ -40,42 +31,26 @@ pub struct RoundOutcome {
     /// Served requests answered without a download of their object this
     /// round (the cache absorbed them).
     pub cache_hits: usize,
-    /// Transfers that completed (arrived) this round. Instantaneous
-    /// path: equals `objects_downloaded`.
+    /// Transfers that completed (arrived) this round. Under instant
+    /// transfers: equals `objects_downloaded`.
     pub arrived: usize,
-    /// Transfers launched onto the fixed network this round.
-    /// Instantaneous path: equals `objects_downloaded`.
+    /// Transfers launched onto the fixed network this round. Under
+    /// instant transfers: equals `objects_downloaded`.
     pub launched: usize,
     /// Requests that joined an already in-flight transfer instead of
-    /// launching their own (single-flight coalescing). Zero on the
-    /// instantaneous path.
+    /// launching their own (single-flight coalescing). Zero under
+    /// instant transfers.
     pub joined: usize,
-    /// Served requests answered in the round they arrived.
-    /// Instantaneous path: equals `served`.
+    /// Served requests answered in the round they arrived. Under
+    /// instant transfers: equals `served`.
     pub served_immediately: usize,
     /// Served requests answered on arrival of a transfer they had been
-    /// parked on. Zero on the instantaneous path.
+    /// parked on. Zero under instant transfers.
     pub served_after_wait: usize,
     /// Requests parked on in-flight transfers and not yet answered at
-    /// the end of the round. Zero on the instantaneous path.
+    /// the end of the round. Zero under instant transfers.
     pub still_waiting: usize,
 }
-
-/// Deprecated name for [`RoundOutcome`] — the instantaneous station's
-/// round outcome before the step surfaces were unified.
-#[deprecated(
-    since = "0.7.0",
-    note = "use RoundOutcome: the step surfaces now share one outcome type"
-)]
-pub type StepOutcome = RoundOutcome;
-
-/// Deprecated name for [`RoundOutcome`] — the latency pipeline's round
-/// outcome before the step surfaces were unified.
-#[deprecated(
-    since = "0.7.0",
-    note = "use RoundOutcome: the step surfaces now share one outcome type"
-)]
-pub type LatencyStepOutcome = RoundOutcome;
 
 #[cfg(test)]
 mod tests {
@@ -87,21 +62,5 @@ mod tests {
         assert_eq!(o.served, 0);
         assert_eq!(o.average_recency, 0.0);
         assert_eq!(o.still_waiting, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_aliases_are_the_unified_type() {
-        // An alias is the same type: assignment in both directions needs
-        // no conversion, which is the whole migration story.
-        let unified = RoundOutcome {
-            tick: 3,
-            served: 7,
-            ..RoundOutcome::default()
-        };
-        let legacy_station: StepOutcome = unified;
-        let legacy_pipeline: LatencyStepOutcome = legacy_station;
-        let back: RoundOutcome = legacy_pipeline;
-        assert_eq!(back, unified);
     }
 }

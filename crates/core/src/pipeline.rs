@@ -26,9 +26,7 @@ use std::collections::HashSet;
 
 use basecache_cache::CacheStore;
 use basecache_net::{Catalog, Downlink, Link, ObjectId, RemoteServer, SharedLink, Version};
-use basecache_obs::{
-    Event, LifecycleEvent, NullRecorder, Recorder, Sample, Snapshot, Span, Stage, Transition,
-};
+use basecache_obs::{Event, LifecycleEvent, Recorder, Sample, Snapshot, Span, Stage, Transition};
 use basecache_sim::metrics::Welford;
 use basecache_sim::{P2Quantile, Scheduler, SimTime};
 use basecache_workload::GeneratedRequest;
@@ -112,66 +110,16 @@ pub struct LatencyAwareSim {
 }
 
 impl LatencyAwareSim {
-    /// Build a latency-aware station.
-    ///
-    /// `fixed_net` carries downloads (bandwidth + latency); `downlink`
-    /// carries deliveries to clients; `refresh_budget` bounds the data
-    /// units of *stale-refresh* downloads per tick (mandatory fetches of
-    /// uncached requested objects are not charged against it, matching
-    /// the paper's "any object that is not in the cache must be
-    /// downloaded").
-    #[deprecated(
-        since = "0.7.0",
-        note = "construct via StationBuilder::new(..).on_demand(..).build_latency_aware(..)"
-    )]
-    pub fn new(
-        catalog: Catalog,
-        planner: OnDemandPlanner,
-        refresh_budget: u64,
-        fixed_net: Link,
-        downlink: Downlink,
-    ) -> Self {
-        Self::assemble(
-            catalog,
-            planner,
-            refresh_budget,
-            SharedLink::new(fixed_net),
-            downlink,
-            DecayModel::default(),
-            ScoringFunction::InverseRatio,
-            Box::new(NullRecorder),
-        )
-    }
-
-    /// Like [`Self::new`], but downloading over a [`SharedLink`] backbone
-    /// that other base stations contend on (the multi-cell extension).
-    #[deprecated(
-        since = "0.7.0",
-        note = "construct via StationBuilder::new(..).on_demand(..).build_latency_aware(..)"
-    )]
-    pub fn with_backbone(
-        catalog: Catalog,
-        planner: OnDemandPlanner,
-        refresh_budget: u64,
-        fixed_net: SharedLink,
-        downlink: Downlink,
-    ) -> Self {
-        Self::assemble(
-            catalog,
-            planner,
-            refresh_budget,
-            fixed_net,
-            downlink,
-            DecayModel::default(),
-            ScoringFunction::InverseRatio,
-            Box::new(NullRecorder),
-        )
-    }
-
     /// The one true constructor, reached through the validating
-    /// [`crate::builder::StationBuilder::build_latency_aware`] (and, for
-    /// one release, the deprecated [`Self::new`]/[`Self::with_backbone`]
-    /// shims, which pass the historical defaults).
+    /// [`crate::builder::StationBuilder::build_latency_aware`].
+    ///
+    /// `fixed_net` carries downloads (bandwidth + latency; share it
+    /// across stations for the multi-cell backbone); `downlink` carries
+    /// deliveries to clients; `refresh_budget` bounds the data units of
+    /// *stale-refresh* downloads per tick (mandatory fetches of uncached
+    /// requested objects are not charged against it, matching the
+    /// paper's "any object that is not in the cache must be
+    /// downloaded").
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         catalog: Catalog,
@@ -203,16 +151,6 @@ impl LatencyAwareSim {
         }
     }
 
-    /// Install an observability recorder (default: the no-op
-    /// [`NullRecorder`]). Fetch launches, fetch latencies and the
-    /// per-tick fetch-ingest stage are recorded as the simulation runs;
-    /// call [`Self::observe_infrastructure`] once at the end of a run to
-    /// add the cumulative link/downlink/scheduler figures.
-    pub fn with_recorder(mut self, recorder: Box<dyn Recorder>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
     /// The installed observability recorder.
     pub fn recorder(&self) -> &dyn Recorder {
         &*self.recorder
@@ -238,7 +176,7 @@ impl LatencyAwareSim {
     }
 
     /// Materialize everything the installed recorder observed (empty
-    /// under the default [`NullRecorder`]).
+    /// under the default [`basecache_obs::NullRecorder`]).
     pub fn obs_snapshot(&self) -> Snapshot {
         self.recorder.snapshot()
     }
@@ -259,7 +197,7 @@ impl LatencyAwareSim {
     }
 
     /// The fixed-network link (locked view; shared with other stations
-    /// when constructed via [`Self::with_backbone`]).
+    /// when they were built over the same [`SharedLink`]).
     pub fn fixed_net(&self) -> std::sync::MutexGuard<'_, Link> {
         self.fixed_net.lock()
     }
@@ -537,6 +475,7 @@ impl LatencyAwareSim {
 mod tests {
     use super::*;
     use crate::planner::SolverChoice;
+    use basecache_obs::NullRecorder;
     use basecache_sim::SimDuration;
 
     fn req(id: u32) -> GeneratedRequest {
@@ -547,39 +486,21 @@ mod tests {
     }
 
     fn sim(latency: u64, bandwidth: u64) -> LatencyAwareSim {
+        sim_recorded(latency, bandwidth, Box::new(NullRecorder))
+    }
+
+    fn sim_recorded(latency: u64, bandwidth: u64, recorder: Box<dyn Recorder>) -> LatencyAwareSim {
         crate::builder::StationBuilder::new(Catalog::uniform_unit(10))
             .on_demand(
                 OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
                 100,
             )
+            .recorder(recorder)
             .build_latency_aware(
                 SharedLink::new(Link::new(bandwidth, SimDuration::from_ticks(latency))),
                 Downlink::new(100, SimDuration::ZERO),
             )
             .expect("valid latency configuration")
-    }
-
-    /// Pins the one-release deprecated constructor shims to the builder
-    /// path, step for step (the PR 2 `builder_shim` precedent).
-    #[test]
-    #[allow(deprecated)]
-    fn constructor_shims_match_the_builder() {
-        let mut built = sim(2, 3);
-        let mut legacy = LatencyAwareSim::new(
-            Catalog::uniform_unit(10),
-            OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
-            100,
-            Link::new(3, SimDuration::from_ticks(2)),
-            Downlink::new(100, SimDuration::ZERO),
-        );
-        for t in 0..8u32 {
-            let reqs = [req(t % 5), req((t + 1) % 5)];
-            assert_eq!(built.step(&reqs), legacy.step(&reqs));
-            if t == 3 {
-                built.apply_update_wave();
-                legacy.apply_update_wave();
-            }
-        }
     }
 
     #[test]
@@ -668,7 +589,7 @@ mod tests {
 
     #[test]
     fn recorder_captures_fetch_activity() {
-        let mut s = sim(2, 10).with_recorder(Box::new(basecache_obs::StatsRecorder::new()));
+        let mut s = sim_recorded(2, 10, Box::new(basecache_obs::StatsRecorder::new()));
         s.step(&[req(0)]); // uncached: launch, client waits
         for _ in 0..3 {
             s.step(&[]); // arrival at t=3 releases the waiter

@@ -2,16 +2,31 @@
 //!
 //! [`BaseStationSim`] glues the substrates together exactly as the
 //! paper's analyses do: a versioned [`RemoteServer`], the base-station
-//! [`CacheStore`], a download policy, and per-tick client request
-//! batches. Each simulated time unit the station (1) receives a batch,
-//! (2) decides what to download under the policy, (3) refreshes the cache
-//! with the downloaded copies, and (4) serves every request, recording
-//! the recency and score delivered to each client.
+//! [`CacheStore`], a download policy, an [`InFlightLedger`] for the
+//! fixed network, and per-tick client demand. Every simulated time unit
+//! runs one staged round, whether the demand is a request batch
+//! ([`BaseStationSim::step`]) or a [`RoundEngine`]'s standing population
+//! ([`BaseStationSim::step_engine`]):
+//!
+//! 1. land the transfers due from earlier rounds, serving the requests
+//!    parked on them;
+//! 2. read the recency the planner sees;
+//! 3. plan under the policy — the knapsack instance assembles from the
+//!    batch or the engine, then both finish the same way (single-flight
+//!    joiners and L2 exclusions leave it, committed bandwidth leaves the
+//!    budget, far arrivals are amortized) before the solve;
+//! 4. launch the downloads; an instant transfer lands at once;
+//! 5. serve every request — per request for a batch, columnar for the
+//!    engine — recording the recency and score delivered to each client.
+//!
+//! The paper's same-round download model is the ledger's zero-duration
+//! case (`bandwidth_per_round == 0`, the default): nothing is ever in
+//! flight across rounds, so stage 1 never lands anything and stage 5
+//! never parks a request.
 //!
 //! The driver (experiment harness or example) owns the clock: it calls
 //! [`BaseStationSim::apply_update_wave`] (or per-object updates) whenever
-//! the remote objects change, and [`BaseStationSim::step`] once per time
-//! unit.
+//! the remote objects change, and steps the station once per time unit.
 
 use basecache_cache::CacheStore;
 use basecache_knapsack::Item;
@@ -27,6 +42,7 @@ use basecache_sim::SimTime;
 use basecache_workload::GeneratedRequest;
 
 use crate::asynch::AsyncRefresher;
+use crate::engine::RoundEngine;
 use crate::estimator::RecencyEstimator;
 use crate::outcome::RoundOutcome;
 use crate::planner::{LowestRecencyFirst, OnDemandPlanner};
@@ -111,8 +127,7 @@ pub struct StationStats {
     /// Distribution of per-request delivered score.
     pub score: Welford,
     /// Distribution of waiting times (in rounds) of requests answered on
-    /// arrival of the transfer they rode (in-flight mode only; empty on
-    /// the instantaneous path).
+    /// arrival of the transfer they rode (empty under instant transfers).
     pub wait_ticks: Welford,
     /// Requests answered after waiting on an in-flight transfer.
     pub waited: u64,
@@ -122,7 +137,7 @@ pub struct StationStats {
 }
 
 /// In-flight download state: the ledger plus the reusable buffers the
-/// flight step needs, so steady-state rounds stay off the heap.
+/// round needs, so steady-state rounds stay off the heap.
 #[derive(Debug)]
 struct FlightState {
     ledger: InFlightLedger,
@@ -132,8 +147,26 @@ struct FlightState {
     /// Waiters drained from arriving transfers, rebuilt per arrival.
     waiters: Vec<ParkedWaiter>,
     /// `(object, launched_at)` of this round's arrivals, sorted by
-    /// object — the engine serve's merge input.
+    /// object — the columnar serve's merge input.
     arrived: Vec<(ObjectId, u64)>,
+}
+
+impl FlightState {
+    fn new(config: InFlightConfig, objects: usize) -> Self {
+        let mut ledger = InFlightLedger::new(config, objects);
+        // A timed link's ring grows with the backlog; pre-size it so the
+        // first busy rounds stay off the heap. Instant transfers land
+        // right after launch and never need more than one slot.
+        if !ledger.is_instant() {
+            ledger.reserve(objects, 0);
+        }
+        Self {
+            ledger,
+            active_buf: Vec::new(),
+            waiters: Vec::new(),
+            arrived: Vec::new(),
+        }
+    }
 }
 
 /// The base-station simulation.
@@ -161,32 +194,15 @@ pub struct BaseStationSim {
     /// region-wide single-flight contract holds. Empty outside L2 mode,
     /// and the empty case takes the exact unfiltered planning path.
     plan_exclusions: Vec<ObjectId>,
-    /// In-flight download mode (multi-round transfers + single-flight
-    /// coalescing); `None` is the paper's instantaneous model.
-    flight: Option<FlightState>,
+    /// The fixed network's transfers in flight (multi-round transfers +
+    /// single-flight coalescing); instant by default, the paper's model.
+    flight: FlightState,
 }
 
 impl BaseStationSim {
-    /// Build a station over `catalog` with the given policy. The cache
-    /// starts empty ("we started with an empty cache"); the server starts
-    /// with every object at version 0.
-    #[deprecated(
-        note = "use `basecache_core::builder::StationBuilder`, which validates the \
-                configuration and can wire in an observability recorder"
-    )]
-    pub fn new(catalog: Catalog, policy: Policy) -> Self {
-        Self::assemble(
-            catalog,
-            policy,
-            Estimation::Oracle,
-            DecayModel::default(),
-            ScoringFunction::InverseRatio,
-            Box::new(NullRecorder),
-        )
-    }
-
-    /// The one true constructor, fed by [`crate::builder::StationBuilder`]
-    /// (and the deprecated [`BaseStationSim::new`] shim).
+    /// The one true constructor, fed by [`crate::builder::StationBuilder`].
+    /// The cache starts empty ("we started with an empty cache"); the
+    /// server starts with every object at version 0.
     pub(crate) fn assemble(
         catalog: Catalog,
         policy: Policy,
@@ -194,6 +210,7 @@ impl BaseStationSim {
         decay: DecayModel,
         scoring: ScoringFunction,
         recorder: Box<dyn Recorder>,
+        flight: InFlightConfig,
     ) -> Self {
         let server = RemoteServer::new(&catalog);
         let refresher = AsyncRefresher::new(&catalog);
@@ -204,16 +221,10 @@ impl BaseStationSim {
         // the catalog's total size are equivalent to it (every solver
         // clamps the capacity), so the reserve clamps too.
         let mut scratch = PlannerScratch::new();
-        let budget = match &policy {
-            Policy::OnDemand { budget_units, .. } | Policy::Hybrid { budget_units, .. } => {
-                Some(*budget_units)
-            }
-            Policy::OnDemandAdaptive { max_budget, .. } => Some(*max_budget),
-            Policy::OnDemandLowestRecency { .. } | Policy::AsyncRoundRobin { .. } => None,
-        };
-        if let Some(budget) = budget {
+        if let Some(budget) = unit_budget(&policy) {
             scratch.reserve(catalog.len(), budget.min(catalog.total_size()));
         }
+        let flight = FlightState::new(flight, catalog.len());
         Self {
             catalog,
             server,
@@ -230,46 +241,15 @@ impl BaseStationSim {
             recency_buf: Vec::new(),
             downloaded: Vec::new(),
             plan_exclusions: Vec::new(),
-            flight: None,
+            flight,
         }
     }
 
-    /// Switch the station into in-flight download mode (called by the
-    /// builder, which validates that the policy is [`Policy::OnDemand`]).
-    pub(crate) fn install_flight(&mut self, config: InFlightConfig) {
-        let mut ledger = InFlightLedger::new(config, self.catalog.len());
-        ledger.reserve(self.catalog.len(), 0);
-        self.flight = Some(FlightState {
-            ledger,
-            active_buf: Vec::new(),
-            waiters: Vec::new(),
-            arrived: Vec::new(),
-        });
-    }
-
-    /// The in-flight ledger, when the station runs in in-flight mode
-    /// (see [`crate::builder::StationBuilder::in_flight`]).
+    /// The station's in-flight ledger — always `Some`: every station owns
+    /// one, instant unless built with
+    /// [`crate::builder::StationBuilder::in_flight`].
     pub fn flight_ledger(&self) -> Option<&InFlightLedger> {
-        self.flight.as_ref().map(|f| &f.ledger)
-    }
-
-    /// Replace the recency estimation used for *planning* (default:
-    /// oracle). Measurements always use the true staleness.
-    pub fn with_estimation(mut self, estimation: Estimation) -> Self {
-        self.estimation = estimation;
-        self
-    }
-
-    /// Replace the decay model (default: `x' = x/(1+x)`).
-    pub fn with_decay(mut self, decay: DecayModel) -> Self {
-        self.decay = decay;
-        self
-    }
-
-    /// Replace the scoring function (default: inverse-ratio).
-    pub fn with_scoring(mut self, scoring: ScoringFunction) -> Self {
-        self.scoring = scoring;
-        self
+        Some(&self.flight.ledger)
     }
 
     /// The current time unit (number of steps taken).
@@ -404,14 +384,19 @@ impl BaseStationSim {
     /// `out`'s own first growth).
     fn fill_recency(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(self.catalog.ids().map(|id| {
-            match self.cache.peek(id) {
-                Some(entry) => self
-                    .decay
-                    .recency_for_lag(entry.lag(self.server.version_of(id))),
-                None => 0.0,
-            }
-        }));
+        out.extend(self.catalog.ids().map(|id| self.true_recency(id)));
+    }
+
+    /// The true recency of `id`'s cached copy: decayed once per missed
+    /// server update; 0.0 when the object is not cached.
+    #[inline]
+    fn true_recency(&self, id: ObjectId) -> f64 {
+        match self.cache.peek(id) {
+            Some(entry) => self
+                .decay
+                .recency_for_lag(entry.lag(self.server.version_of(id))),
+            None => 0.0,
+        }
     }
 
     /// Fill `out` with [`Self::estimated_recency_vec`] without allocating.
@@ -493,30 +478,91 @@ impl BaseStationSim {
         }
     }
 
-    /// Simulate one time unit over the given client requests.
+    /// Simulate one time unit over the given client requests, through
+    /// the staged round of the module docs: each request is served from
+    /// the cache or, when its object is on the wire at the current
+    /// version, parked on that transfer until it lands.
     ///
     /// Under [`Policy::OnDemand`] this is allocation-free in steady
-    /// state: the recency vector, the aggregated request instance, the
-    /// DP tables, and the download list all live in buffers reused
-    /// across ticks.
-    ///
-    /// In in-flight mode ([`crate::builder::StationBuilder::in_flight`])
-    /// the round runs through the in-flight ledger instead of
-    /// refreshing downloads instantly; with `bandwidth_per_round == 0`
-    /// that path degenerates bit-identically to this one (pinned by
-    /// `tests/inflight_invariants.rs`).
+    /// state: every buffer the round touches is reused across ticks.
     pub fn step(&mut self, requests: &[GeneratedRequest]) -> RoundOutcome {
-        if self.flight.is_some() {
-            return self.step_flight(requests);
-        }
-        let policy = self.policy;
-        let recorder: &dyn Recorder = &*self.recorder;
-        let observing = recorder.enabled();
-        let _step_span = Span::enter(recorder, Stage::Step);
-        recorder.begin_round(self.tick);
-        recorder.incr(Event::Rounds);
-        recorder.sample(Sample::BatchSize, requests.len() as f64);
+        self.round(Demand::Batch(requests))
+    }
 
+    /// Simulate one time unit against a [`RoundEngine`]'s standing
+    /// request tables — the million-request round. The driver mutates
+    /// the engine between steps and the engine rescores only what
+    /// changed; the serve runs columnar, O(requested objects), off the
+    /// engine's per-object score sums. Requests of objects on the wire
+    /// count as waiting rather than being parked one by one: the
+    /// population persists, so they serve in the arrival round.
+    ///
+    /// Same round, spans, events and samples as [`Self::step`].
+    /// Allocation-free in steady state on the sequential rescore path
+    /// (see `tests/alloc_free.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the station runs [`Policy::OnDemand`] under
+    /// [`Estimation::Oracle`] — the columnar serve reads the recency
+    /// column the planner observed, which must be the truth — and the
+    /// engine's table and scoring function match the station's catalog
+    /// and planner.
+    pub fn step_engine(&mut self, engine: &mut RoundEngine) -> RoundOutcome {
+        let Policy::OnDemand { planner, .. } = self.policy else {
+            panic!("step_engine requires Policy::OnDemand");
+        };
+        assert!(
+            matches!(self.estimation, Estimation::Oracle),
+            "step_engine requires Estimation::Oracle: the columnar serve \
+             reads the recency the planner observed, which must be the truth"
+        );
+        assert_eq!(
+            engine.num_objects(),
+            self.catalog.len(),
+            "engine table must cover the station's catalog"
+        );
+        assert_eq!(
+            engine.scoring(),
+            planner.scoring(),
+            "engine and planner must agree on the scoring function"
+        );
+        self.round(Demand::Engine(engine))
+    }
+
+    /// The one round body behind [`Self::step`] and
+    /// [`Self::step_engine`]; the demands differ only in how the plan
+    /// assembles and how the serve stage walks the requests.
+    fn round(&mut self, mut demand: Demand<'_>) -> RoundOutcome {
+        // The recorder leaves the station for the round so the stages can
+        // borrow the rest of it; the ZST placeholder box does not allocate.
+        let recorder_box = std::mem::replace(&mut self.recorder, Box::new(NullRecorder));
+        let recorder: &dyn Recorder = &*recorder_box;
+        let observing = recorder.enabled();
+        let step_span = Span::enter(recorder, Stage::Step);
+        let tick = self.tick;
+        recorder.begin_round(tick);
+        recorder.incr(Event::Rounds);
+        let (batch_size, columnar) = match &demand {
+            Demand::Batch(requests) => (requests.len() as u64, false),
+            Demand::Engine(engine) => (engine.total_requests(), true),
+        };
+        recorder.sample(Sample::BatchSize, batch_size as f64);
+        let instant = self.flight.ledger.is_instant();
+        let mut tally = Tally::default();
+
+        // (1) Land transfers launched in earlier rounds. Instant ledgers
+        // never have any pending here: their transfers land in (3).
+        self.flight.arrived.clear();
+        if !instant {
+            let _fetch_span = Span::enter(recorder, Stage::Fetch);
+            self.land_due(recorder, &mut tally, columnar);
+            // Pop order is launch order; the columnar serve merges in
+            // object order.
+            self.flight.arrived.sort_unstable();
+        }
+
+        // (2) The recency the planner sees (post-arrival), then the plan.
         let mut recency = std::mem::take(&mut self.recency_buf);
         {
             let _recency_span = Span::enter(recorder, Stage::Recency);
@@ -524,52 +570,281 @@ impl BaseStationSim {
         }
         let mut downloaded = std::mem::take(&mut self.downloaded);
         downloaded.clear();
+        {
+            let _plan_span = Span::enter(recorder, Stage::Plan);
+            self.plan(&mut demand, &recency, &mut downloaded, recorder);
+        }
 
-        let plan_span = Span::enter(recorder, Stage::Plan);
-        match policy {
-            Policy::OnDemand {
-                planner,
-                budget_units,
-            } => {
-                if self.plan_exclusions.is_empty() {
-                    planner.plan_requests_recorded(
-                        requests,
-                        &self.catalog,
-                        &recency,
-                        budget_units,
-                        &mut self.scratch,
-                        recorder,
-                    );
-                } else {
-                    // Same two halves as `plan_requests_recorded`, with
-                    // the L2-excluded objects compacted out of the
-                    // assembled instance before the solve — the region
-                    // already holds (or is fetching) their current
-                    // versions, so this cell must not pay origin.
-                    planner.assemble_requests_into(
-                        requests,
-                        &self.catalog,
-                        &recency,
-                        &mut self.scratch,
-                    );
-                    let mut keep = 0usize;
-                    for i in 0..self.scratch.items.len() {
-                        let o = self.scratch.objects[i];
-                        if self.plan_exclusions.binary_search(&o).is_err() {
-                            self.scratch.items[keep] = self.scratch.items[i];
-                            self.scratch.objects[keep] = self.scratch.objects[i];
-                            keep += 1;
-                        }
-                    }
-                    self.scratch.items.truncate(keep);
-                    self.scratch.objects.truncate(keep);
-                    planner.solve_assembled(budget_units, &mut self.scratch, recorder);
+        // (3) Launch the chosen transfers. An instant one lands right
+        // after its launch, so the ledger's ring never holds more than
+        // one entry and the refresh runs in ascending object order.
+        {
+            let _refresh_span = Span::enter(recorder, Stage::Refresh);
+            for &id in &downloaded {
+                let version = self.server.version_of(id);
+                if observing {
+                    let planned = LifecycleEvent::new(Transition::Planned, id.0, version.0, tick);
+                    recorder.lifecycle(planned);
                 }
-                downloaded.extend_from_slice(self.scratch.downloads());
+                let ledger = &mut self.flight.ledger;
+                if ledger.is_object_active(id) {
+                    recorder.incr(Event::DuplicateFetches);
+                }
+                ledger.launch_recorded(id, version, self.catalog.size_of(id), tick, recorder);
+                if instant {
+                    self.land_due(recorder, &mut tally, false);
+                }
             }
+        }
+        recorder.add(Event::FetchesIssued, downloaded.len() as u64);
+        recorder.add(Event::ObjectsDownloaded, tally.arrived as u64);
+        recorder.add(Event::UnitsDownloaded, tally.units);
+        if let Some(budget) = unit_budget(&self.policy).filter(|&b| observing && b > 0) {
+            let utilization = tally.units as f64 / budget as f64;
+            recorder.sample(Sample::DownlinkUtilization, utilization);
+        }
+
+        // (4) Serve.
+        {
+            let _serve_span = Span::enter(recorder, Stage::Serve);
+            match demand {
+                Demand::Batch(batch) => self.serve_batch(batch, &downloaded, recorder, &mut tally),
+                Demand::Engine(engine) => {
+                    self.serve_columnar(engine, &downloaded, recorder, &mut tally)
+                }
+            }
+        }
+        let served = tally.served_now + tally.served_after_wait;
+        recorder.add(Event::RequestsServed, served);
+        if observing && served > 0 {
+            recorder.sample(Sample::CacheHitRatio, tally.hits as f64 / served as f64);
+        }
+
+        self.stats.units_downloaded += tally.units;
+        self.stats.objects_downloaded += tally.arrived as u64;
+        self.stats.requests_served += served;
+        self.stats.joined += tally.joined;
+        let outcome = RoundOutcome {
+            tick,
+            objects_downloaded: tally.arrived,
+            units_downloaded: tally.units,
+            average_recency: tally.recency.mean().unwrap_or(1.0),
+            average_score: tally.score.mean().unwrap_or(1.0),
+            served: served as usize,
+            cache_hits: tally.hits as usize,
+            arrived: tally.arrived,
+            launched: downloaded.len(),
+            joined: tally.joined as usize,
+            served_immediately: tally.served_now as usize,
+            served_after_wait: tally.served_after_wait as usize,
+            still_waiting: tally.waiting as usize,
+        };
+        recorder.sample(Sample::AverageRecency, outcome.average_recency);
+        recorder.sample(Sample::AverageScore, outcome.average_score);
+        if observing {
+            recorder.sample(Sample::CachedUnits, self.cache.used() as f64);
+        }
+        recorder.end_round(tick);
+        self.downloaded = downloaded;
+        self.recency_buf = recency;
+        self.tick += 1;
+        drop(step_span);
+        self.recorder = recorder_box;
+        outcome
+    }
+
+    /// Land every transfer due by this round: refresh the cache with the
+    /// copy and serve the requests parked on it. Waiters are scored at
+    /// the landed copy's *true* recency: if the version was invalidated
+    /// while on the wire, they get (and are scored on) what actually
+    /// arrived. With `collect`, each arrival's `(object, launched_at)` is
+    /// kept for the columnar serve.
+    fn land_due(&mut self, recorder: &dyn Recorder, tally: &mut Tally, collect: bool) {
+        let tick = self.tick;
+        let now = SimTime::from_ticks(tick);
+        let observing = recorder.enabled();
+        loop {
+            let flight = &mut self.flight;
+            flight.waiters.clear();
+            let Some(a) = flight
+                .ledger
+                .pop_arrival_recorded(tick, &mut flight.waiters, recorder)
+            else {
+                break;
+            };
+            self.cache
+                .insert(a.object, a.size, a.version, now)
+                .expect("unbounded cache never refuses");
+            if let Estimation::Estimator(est) = &mut self.estimation {
+                est.on_refresh(a.object, now);
+            }
+            tally.units += a.size;
+            tally.arrived += 1;
+            if collect {
+                self.flight.arrived.push((a.object, a.launched_at));
+            }
+            if observing {
+                let event = |transition| {
+                    LifecycleEvent::new(transition, a.object.0, a.version.0, tick)
+                        .at_launch(a.launched_at)
+                };
+                recorder.attribute(Attr::DownlinkUnitsByObject, a.object.0, a.size);
+                if a.version != self.server.version_of(a.object) {
+                    // The copy was invalidated while on the wire.
+                    recorder.incr(Event::StaleArrivals);
+                    recorder.lifecycle(event(Transition::InvalidatedStale));
+                }
+                let waiters = self.flight.waiters.len().min(u32::MAX as usize) as u32;
+                if waiters > 0 {
+                    recorder.lifecycle(event(Transition::ServedFromWait).times(waiters));
+                }
+            }
+            if self.flight.waiters.is_empty() {
+                continue;
+            }
+            let x = self.true_recency(a.object);
+            for w in &self.flight.waiters {
+                let score = self.scoring.score(x, w.target_recency);
+                tally.recency.push(x);
+                tally.score.push(score);
+                self.stats.recency.push(x);
+                self.stats.score.push(score);
+                let wait = (tick - w.issued_at) as f64;
+                self.stats.wait_ticks.push(wait);
+                self.stats.waited += 1;
+                tally.served_after_wait += 1;
+                recorder.sample(Sample::FetchLatencyTicks, wait);
+                if observing {
+                    // Decompose the wait: ticks spent before the
+                    // transfer launched (queueing) vs. riding the wire;
+                    // the serve itself is same-round (0 ticks), kept as
+                    // a channel so the model stays explicit.
+                    let queueing = a.launched_at.saturating_sub(w.issued_at);
+                    let on_wire = tick - w.issued_at.max(a.launched_at);
+                    recorder.sample(Sample::WaitQueueingTicks, queueing as f64);
+                    recorder.sample(Sample::WaitOnWireTicks, on_wire as f64);
+                    recorder.sample(Sample::WaitServeTicks, 0.0);
+                    let staleness = ((1.0 - x) * 1_000.0).round() as u64;
+                    if staleness > 0 {
+                        recorder.attribute(Attr::ServeStalenessByObject, a.object.0, staleness);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Choose this round's downloads into `downloaded` (ascending for
+    /// every policy but round-robin refresh). The knapsack instance
+    /// assembles from the batch or the engine, then finishes the same way
+    /// for both: joinable and L2-excluded objects leave it, committed
+    /// units leave the budget, far arrivals are amortized.
+    fn plan(
+        &mut self,
+        demand: &mut Demand<'_>,
+        recency: &[f64],
+        downloaded: &mut Vec<ObjectId>,
+        recorder: &dyn Recorder,
+    ) {
+        let instant = self.flight.ledger.is_instant();
+        let joining = self.flight.ledger.coalesce() && !instant;
+        let Policy::OnDemand {
+            planner,
+            budget_units,
+        } = self.policy
+        else {
+            let Demand::Batch(requests) = demand else {
+                unreachable!("step_engine checks the policy");
+            };
+            self.select(requests, recency, downloaded);
+            return;
+        };
+        match demand {
+            Demand::Engine(engine) => {
+                // Arrivals dirtied themselves through the recency
+                // observation (their bits moved), so the incremental
+                // build pays only for what landed.
+                engine.observe_recency(recency);
+                engine.rescore();
+                recorder.sample(Sample::DirtyObjects, engine.dirty_objects() as f64);
+                recorder.sample(Sample::RescoredRequests, engine.rescored_requests() as f64);
+                engine.assemble_into(&mut self.scratch);
+            }
+            Demand::Batch(requests) => {
+                // Requests that can ride an in-flight transfer stay out
+                // of the instance: they park on it in the serve stage.
+                let input: &[GeneratedRequest] = if joining {
+                    let flight = &mut self.flight;
+                    flight.active_buf.clear();
+                    flight.active_buf.extend(requests.iter().filter(|r| {
+                        let o = r.object;
+                        !(flight.ledger.joinable(o, self.server.version_of(o))
+                            && recency[o.index()] < 1.0)
+                    }));
+                    &flight.active_buf
+                } else {
+                    requests
+                };
+                planner.assemble_requests_into(input, &self.catalog, recency, &mut self.scratch);
+            }
+        }
+
+        let excluding = !self.plan_exclusions.is_empty();
+        if joining || excluding {
+            // A joinable object can still reach the instance as a
+            // zero-profit item (fresh cache, redundant transfer active);
+            // drop such items so the single-flight contract holds no
+            // matter how the solver tie-breaks zero profit. L2-excluded
+            // objects (the region already holds or is fetching their
+            // current versions) are compacted out in the same pass.
+            let scratch = &mut self.scratch;
+            let mut keep = 0usize;
+            for i in 0..scratch.items.len() {
+                let o = scratch.objects[i];
+                let dropped = (joining
+                    && self.flight.ledger.joinable(o, self.server.version_of(o)))
+                    || (excluding && self.plan_exclusions.binary_search(&o).is_ok());
+                if !dropped {
+                    scratch.items[keep] = scratch.items[i];
+                    scratch.objects[keep] = scratch.objects[i];
+                    keep += 1;
+                }
+            }
+            scratch.items.truncate(keep);
+            scratch.objects.truncate(keep);
+        }
+        let budget = if instant {
+            budget_units
+        } else {
+            let tick = self.tick;
+            let ledger = &self.flight.ledger;
+            let committed = ledger.committed_at(tick);
+            if recorder.enabled() {
+                recorder.sample(Sample::CommittedUnits, committed as f64);
+            }
+            for item in self.scratch.items.iter_mut() {
+                let delay = ledger.arrival_delay(item.size(), tick);
+                if delay > 1 {
+                    *item = Item::new(item.size(), item.profit() / delay as f64);
+                }
+            }
+            budget_units.saturating_sub(committed)
+        };
+        planner.solve_assembled(budget, &mut self.scratch, recorder);
+        downloaded.extend_from_slice(self.scratch.downloads());
+    }
+
+    /// The policies that pick their downloads without a knapsack instance.
+    fn select(
+        &mut self,
+        requests: &[GeneratedRequest],
+        recency: &[f64],
+        downloaded: &mut Vec<ObjectId>,
+    ) {
+        match self.policy {
+            Policy::OnDemand { .. } => unreachable!("planned through the knapsack instance"),
             Policy::OnDemandLowestRecency { k_objects } => {
                 let batch = RequestBatch::from_generated(requests);
-                downloaded.extend(LowestRecencyFirst.select(&batch, &recency, k_objects));
+                downloaded.extend(LowestRecencyFirst.select(&batch, recency, k_objects));
             }
             Policy::AsyncRoundRobin { k_objects } => {
                 downloaded.extend(self.refresher.next_batch(k_objects));
@@ -582,7 +857,7 @@ impl BaseStationSim {
             } => {
                 let batch = RequestBatch::from_generated(requests);
                 let (_, mapped, trace) =
-                    planner.plan_with_trace(&batch, &self.catalog, &recency, max_budget);
+                    planner.plan_with_trace(&batch, &self.catalog, recency, max_budget);
                 let budget = crate::bound::knee_budget(&trace, window, threshold);
                 let solution = trace.solution_at(mapped.instance(), budget);
                 let mut chosen = mapped.selected_objects(&solution);
@@ -594,7 +869,7 @@ impl BaseStationSim {
                 budget_units,
             } => {
                 let batch = RequestBatch::from_generated(requests);
-                let plan = planner.plan(&batch, &self.catalog, &recency, budget_units);
+                let plan = planner.plan(&batch, &self.catalog, recency, budget_units);
                 let mut chosen = plan.downloads().to_vec();
                 let mut leftover = budget_units.saturating_sub(plan.download_size());
                 // Spend the leftover pushing fresh copies of the stalest
@@ -624,77 +899,49 @@ impl BaseStationSim {
                 downloaded.extend(chosen);
             }
         }
-        drop(plan_span);
-        if observing {
-            for &id in &downloaded {
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Planned,
-                    id.0,
-                    self.server.version_of(id).0,
-                    self.tick,
-                ));
-            }
-        }
+    }
 
-        let refresh_span = Span::enter(recorder, Stage::Refresh);
-        let now = SimTime::from_ticks(self.tick);
-        let mut units = 0u64;
-        for &id in &downloaded {
-            let size = self.catalog.size_of(id);
-            let version = self.server.version_of(id);
-            self.cache
-                .insert(id, size, version, now)
-                .expect("unbounded cache never refuses");
-            if let Estimation::Estimator(est) = &mut self.estimation {
-                est.on_refresh(id, now);
-            }
-            units += size;
-            if observing {
-                recorder.attribute(Attr::DownlinkUnitsByObject, id.0, size);
-                // Instantaneous downloads launch and land in one tick.
-                recorder.lifecycle(
-                    LifecycleEvent::new(Transition::Arrived, id.0, version.0, self.tick)
-                        .at_launch(self.tick),
-                );
-            }
-        }
-        drop(refresh_span);
-        recorder.add(Event::ObjectsDownloaded, downloaded.len() as u64);
-        recorder.add(Event::UnitsDownloaded, units);
-        if observing {
-            let budget = match policy {
-                Policy::OnDemand { budget_units, .. } | Policy::Hybrid { budget_units, .. } => {
-                    Some(budget_units)
-                }
-                Policy::OnDemandAdaptive { max_budget, .. } => Some(max_budget),
-                Policy::OnDemandLowestRecency { .. } | Policy::AsyncRoundRobin { .. } => None,
-            };
-            if let Some(budget) = budget.filter(|&b| b > 0) {
-                recorder.sample(Sample::DownlinkUtilization, units as f64 / budget as f64);
-            }
-        }
-
-        // Serve every request from the (possibly just refreshed) cache.
-        let serve_span = Span::enter(recorder, Stage::Serve);
-        let mut recency_acc = Welford::new();
-        let mut score_acc = Welford::new();
-        // `downloaded` is sorted ascending for the planner policies but
-        // not guaranteed for the round-robin refresher, so pick the hit
-        // probe accordingly. Hits are counted unconditionally: they feed
-        // the outcome (and cluster-level aggregation), not just the
-        // recorder, and outcomes must not depend on observation.
+    /// Serve a request batch one request at a time. A request whose
+    /// object is on the wire at the current version parks on that
+    /// transfer (the naive mode parks too — the comparison is about
+    /// duplicate launches, not serving rules); everything else is
+    /// answered from the cache at its true recency.
+    fn serve_batch(
+        &mut self,
+        requests: &[GeneratedRequest],
+        downloaded: &[ObjectId],
+        recorder: &dyn Recorder,
+        totals: &mut Tally,
+    ) {
+        let observing = recorder.enabled();
+        let tick = self.tick;
+        let instant = self.flight.ledger.is_instant();
+        // `downloaded` is ascending except under round-robin refresh, so
+        // pick the hit probe accordingly. Hits are counted
+        // unconditionally: they feed the outcome (and cluster-level
+        // aggregation), and outcomes must not depend on observation.
         let downloads_sorted = downloaded.windows(2).all(|w| w[0] <= w[1]);
-        let mut hits = 0usize;
+        // Accumulate in a stack copy the loop can keep in registers.
+        let mut tally = std::mem::take(totals);
         for r in requests {
-            let x = match self.cache.peek(r.object) {
-                Some(entry) => self
-                    .decay
-                    .recency_for_lag(entry.lag(self.server.version_of(r.object))),
-                None => 0.0,
-            };
+            let x = self.true_recency(r.object);
+            if !instant
+                && x < 1.0
+                && self
+                    .flight
+                    .ledger
+                    .joinable(r.object, self.server.version_of(r.object))
+            {
+                let ledger = &mut self.flight.ledger;
+                if ledger.join_recorded(r.object, r.target_recency, tick, recorder) < tick {
+                    tally.joined += 1;
+                    recorder.incr(Event::FetchesCoalesced);
+                }
+                continue;
+            }
             let score = self.scoring.score(x, r.target_recency);
-            recency_acc.push(x);
-            score_acc.push(score);
+            tally.recency.push(x);
+            tally.score.push(score);
             self.stats.recency.push(x);
             self.stats.score.push(score);
             let downloaded_now = if downloads_sorted {
@@ -703,8 +950,9 @@ impl BaseStationSim {
                 downloaded.contains(&r.object)
             };
             if !downloaded_now {
-                hits += 1;
+                tally.hits += 1;
             }
+            tally.served_now += 1;
             if observing {
                 // Staleness charged in thousandths, so a request served
                 // at recency 0.4 adds 600 to its object's tally.
@@ -716,999 +964,165 @@ impl BaseStationSim {
                     Transition::Served,
                     r.object.0,
                     self.serve_version(r.object),
-                    self.tick,
+                    tick,
                 ));
             }
         }
-        drop(serve_span);
-        recorder.add(Event::RequestsServed, requests.len() as u64);
-        if observing && !requests.is_empty() {
-            recorder.sample(Sample::CacheHitRatio, hits as f64 / requests.len() as f64);
-        }
-
-        self.stats.units_downloaded += units;
-        self.stats.objects_downloaded += downloaded.len() as u64;
-        self.stats.requests_served += requests.len() as u64;
-
-        let outcome = RoundOutcome {
-            tick: self.tick,
-            objects_downloaded: downloaded.len(),
-            units_downloaded: units,
-            average_recency: recency_acc.mean().unwrap_or(1.0),
-            average_score: score_acc.mean().unwrap_or(1.0),
-            served: requests.len(),
-            cache_hits: hits,
-            arrived: downloaded.len(),
-            launched: downloaded.len(),
-            joined: 0,
-            served_immediately: requests.len(),
-            served_after_wait: 0,
-            still_waiting: 0,
-        };
-        recorder.sample(Sample::AverageRecency, outcome.average_recency);
-        recorder.sample(Sample::AverageScore, outcome.average_score);
-        if observing {
-            recorder.sample(Sample::CachedUnits, self.cache.used() as f64);
-        }
-        recorder.end_round(self.tick);
-        self.downloaded = downloaded;
-        self.recency_buf = recency;
-        self.tick += 1;
-        outcome
+        tally.waiting = self.flight.ledger.waiting();
+        *totals = tally;
     }
 
-    /// Simulate one time unit against a [`RoundEngine`]'s standing
-    /// request tables instead of a flat per-tick batch — the
-    /// million-request round. The driver mutates the engine between
-    /// steps (pushes, retargets, clears) and the engine rescores only
-    /// what changed; the serve stage runs columnar, O(requested
-    /// objects) instead of O(requests), off the engine's per-object
-    /// score sums.
-    ///
-    /// Emits the same span/round/event/sample structure as
-    /// [`Self::step`], so flight recordings of engine rounds are
-    /// row-compatible with batch rounds. Allocation-free in steady
-    /// state on the sequential rescore path (see `tests/alloc_free.rs`);
-    /// attaching a pool to the engine trades allocations for fan-out.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the station runs [`Policy::OnDemand`] under
-    /// [`Estimation::Oracle`] — the columnar serve reads the recency
-    /// column the planner observed, which must be the truth — and the
-    /// engine's table matches the station's catalog.
-    pub fn step_engine(&mut self, engine: &mut crate::engine::RoundEngine) -> RoundOutcome {
-        let (planner, budget_units) = match self.policy {
-            Policy::OnDemand {
-                planner,
-                budget_units,
-            } => (planner, budget_units),
-            _ => panic!("step_engine requires Policy::OnDemand"),
-        };
-        assert!(
-            matches!(self.estimation, Estimation::Oracle),
-            "step_engine requires Estimation::Oracle: the columnar serve \
-             reads the recency the planner observed, which must be the truth"
-        );
-        assert_eq!(
-            engine.num_objects(),
-            self.catalog.len(),
-            "engine table must cover the station's catalog"
-        );
-        if self.flight.is_some() {
-            return self.step_engine_flight(engine, planner, budget_units);
-        }
-        let recorder: &dyn Recorder = &*self.recorder;
-        let observing = recorder.enabled();
-        let _step_span = Span::enter(recorder, Stage::Step);
-        recorder.begin_round(self.tick);
-        recorder.incr(Event::Rounds);
-        recorder.sample(Sample::BatchSize, engine.total_requests() as f64);
-
-        let mut recency = std::mem::take(&mut self.recency_buf);
-        {
-            let _recency_span = Span::enter(recorder, Stage::Recency);
-            self.fill_estimated_recency(&mut recency);
-        }
-        let mut downloaded = std::mem::take(&mut self.downloaded);
-        downloaded.clear();
-
-        let plan_span = Span::enter(recorder, Stage::Plan);
-        planner.plan_engine_recorded(engine, &recency, budget_units, &mut self.scratch, recorder);
-        downloaded.extend_from_slice(self.scratch.downloads());
-        drop(plan_span);
-        if observing {
-            for &id in &downloaded {
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Planned,
-                    id.0,
-                    self.server.version_of(id).0,
-                    self.tick,
-                ));
-            }
-        }
-
-        let refresh_span = Span::enter(recorder, Stage::Refresh);
-        let now = SimTime::from_ticks(self.tick);
-        let mut units = 0u64;
-        for &id in &downloaded {
-            let size = self.catalog.size_of(id);
-            let version = self.server.version_of(id);
-            self.cache
-                .insert(id, size, version, now)
-                .expect("unbounded cache never refuses");
-            units += size;
-            if observing {
-                recorder.attribute(Attr::DownlinkUnitsByObject, id.0, size);
-                // Instantaneous downloads launch and land in one tick.
-                recorder.lifecycle(
-                    LifecycleEvent::new(Transition::Arrived, id.0, version.0, self.tick)
-                        .at_launch(self.tick),
-                );
-            }
-        }
-        drop(refresh_span);
-        recorder.add(Event::ObjectsDownloaded, downloaded.len() as u64);
-        recorder.add(Event::UnitsDownloaded, units);
-        if observing && budget_units > 0 {
-            recorder.sample(
-                Sample::DownlinkUtilization,
-                units as f64 / budget_units as f64,
-            );
-        }
-
-        // Columnar serve: one visit per requested object, using the
-        // engine's per-object score sums instead of rescoring every
-        // request. A downloaded object serves all its clients at
-        // recency (and hence score) 1.0 — the cache was just refreshed
-        // to the current version, so the lag is 0; every other object
-        // serves at the recency the planner observed, which under the
-        // oracle is the truth.
-        let serve_span = Span::enter(recorder, Stage::Serve);
-        let mut recency_acc = Welford::new();
-        let mut score_acc = Welford::new();
-        let mut hits = 0u64;
-        let served = engine.total_requests();
-        {
-            let stats = &mut self.stats;
-            let cache = &self.cache;
-            let server = &self.server;
-            let tick = self.tick;
-            // Merge cursor over `downloaded`: both walks are ascending.
-            let mut dl = 0usize;
-            engine.for_each_active(|a| {
-                while dl < downloaded.len() && downloaded[dl] < a.object {
-                    dl += 1;
-                }
-                let downloaded_now = dl < downloaded.len() && downloaded[dl] == a.object;
-                let n = a.requests;
-                if downloaded_now {
-                    recency_acc.push_n(1.0, n);
-                    score_acc.push_n(1.0, n);
-                    stats.recency.push_n(1.0, n);
-                    stats.score.push_n(1.0, n);
-                } else {
-                    hits += n;
-                    recency_acc.push_n(a.recency, n);
-                    stats.recency.push_n(a.recency, n);
-                    let scores = Welford::from_sums(n, a.score_sum, a.score_sq);
-                    score_acc.merge(&scores);
-                    stats.score.merge(&scores);
-                    if observing {
-                        // Staleness charged in thousandths per request,
-                        // attributed once per object for the whole batch.
-                        let staleness = ((1.0 - a.recency) * 1_000.0).round() as u64;
-                        if staleness > 0 {
-                            recorder.attribute(
-                                Attr::ServeStalenessByObject,
-                                a.object.0,
-                                staleness * n,
-                            );
-                        }
-                    }
-                }
-                if observing && n > 0 {
-                    let version = match cache.peek(a.object) {
-                        Some(entry) => entry.version.0,
-                        None => server.version_of(a.object).0,
-                    };
-                    recorder.lifecycle(
-                        LifecycleEvent::new(Transition::Served, a.object.0, version, tick)
-                            .times(n.min(u64::from(u32::MAX)) as u32),
-                    );
-                }
-            });
-        }
-        drop(serve_span);
-        recorder.add(Event::RequestsServed, served);
-        if observing && served > 0 {
-            recorder.sample(Sample::CacheHitRatio, hits as f64 / served as f64);
-        }
-
-        self.stats.units_downloaded += units;
-        self.stats.objects_downloaded += downloaded.len() as u64;
-        self.stats.requests_served += served;
-
-        let outcome = RoundOutcome {
-            tick: self.tick,
-            objects_downloaded: downloaded.len(),
-            units_downloaded: units,
-            average_recency: recency_acc.mean().unwrap_or(1.0),
-            average_score: score_acc.mean().unwrap_or(1.0),
-            served: served as usize,
-            cache_hits: hits as usize,
-            arrived: downloaded.len(),
-            launched: downloaded.len(),
-            joined: 0,
-            served_immediately: served as usize,
-            served_after_wait: 0,
-            still_waiting: 0,
-        };
-        recorder.sample(Sample::AverageRecency, outcome.average_recency);
-        recorder.sample(Sample::AverageScore, outcome.average_score);
-        if observing {
-            recorder.sample(Sample::CachedUnits, self.cache.used() as f64);
-        }
-        recorder.end_round(self.tick);
-        self.downloaded = downloaded;
-        self.recency_buf = recency;
-        self.tick += 1;
-        outcome
-    }
-
-    /// The in-flight round: land earlier rounds' transfers, plan around
-    /// committed bandwidth, launch this round's transfers, park
-    /// single-flight joiners, serve the rest from the cache.
-    ///
-    /// With `bandwidth_per_round == 0` (instant) every stage degenerates
-    /// to the instantaneous [`Self::step`]: no arrivals are pending at
-    /// round start, no request is joinable, the budget loses nothing and
-    /// no profit is amortized, and launches land inside the refresh
-    /// stage in ascending object order — the same float operations in
-    /// the same order, bit for bit (`tests/inflight_invariants.rs`).
-    fn step_flight(&mut self, requests: &[GeneratedRequest]) -> RoundOutcome {
-        let (planner, budget_units) = match self.policy {
-            Policy::OnDemand {
-                planner,
-                budget_units,
-            } => (planner, budget_units),
-            _ => unreachable!("the builder gates in-flight mode to Policy::OnDemand"),
-        };
-        let mut flight = self
-            .flight
-            .take()
-            .expect("step_flight requires flight state");
-        let recorder: &dyn Recorder = &*self.recorder;
-        let observing = recorder.enabled();
-        let _step_span = Span::enter(recorder, Stage::Step);
-        recorder.begin_round(self.tick);
-        recorder.incr(Event::Rounds);
-        recorder.sample(Sample::BatchSize, requests.len() as f64);
-
-        let now_tick = self.tick;
-        let now = SimTime::from_ticks(now_tick);
-        let instant = flight.ledger.is_instant();
-        let coalesce = flight.ledger.coalesce();
-
-        let mut recency_acc = Welford::new();
-        let mut score_acc = Welford::new();
-        let mut units = 0u64;
-        let mut arrived_count = 0usize;
-        let mut served_after_wait = 0usize;
-
-        // (1) Land transfers launched in earlier rounds: refresh the
-        // cache with what arrived and answer the waiters parked on each
-        // transfer. Instant mode never has pending arrivals here —
-        // everything lands inside its own launch round below.
-        if !instant {
-            let fetch_span = Span::enter(recorder, Stage::Fetch);
-            loop {
-                flight.waiters.clear();
-                let popped = if observing {
-                    flight
-                        .ledger
-                        .pop_arrival_recorded(now_tick, &mut flight.waiters, recorder)
-                } else {
-                    flight.ledger.pop_arrival(now_tick, &mut flight.waiters)
-                };
-                let Some(a) = popped else {
-                    break;
-                };
-                self.cache
-                    .insert(a.object, a.size, a.version, now)
-                    .expect("unbounded cache never refuses");
-                if let Estimation::Estimator(est) = &mut self.estimation {
-                    est.on_refresh(a.object, now);
-                }
-                units += a.size;
-                arrived_count += 1;
-                if observing {
-                    recorder.attribute(Attr::DownlinkUnitsByObject, a.object.0, a.size);
-                    if a.version != self.server.version_of(a.object) {
-                        // The copy was invalidated while on the wire.
-                        recorder.incr(Event::StaleArrivals);
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::InvalidatedStale,
-                                a.object.0,
-                                a.version.0,
-                                now_tick,
-                            )
-                            .at_launch(a.launched_at),
-                        );
-                    }
-                    if !flight.waiters.is_empty() {
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::ServedFromWait,
-                                a.object.0,
-                                a.version.0,
-                                now_tick,
-                            )
-                            .at_launch(a.launched_at)
-                            .times(flight.waiters.len().min(u32::MAX as usize) as u32),
-                        );
-                    }
-                }
-                // Waiters are served at the landed copy's *true* recency:
-                // if the version was invalidated while on the wire, they
-                // get (and are scored on) what actually arrived.
-                let x = match self.cache.peek(a.object) {
-                    Some(entry) => self
-                        .decay
-                        .recency_for_lag(entry.lag(self.server.version_of(a.object))),
-                    None => 0.0,
-                };
-                for w in &flight.waiters {
-                    let score = self.scoring.score(x, w.target_recency);
-                    recency_acc.push(x);
-                    score_acc.push(score);
-                    self.stats.recency.push(x);
-                    self.stats.score.push(score);
-                    let wait = (now_tick - w.issued_at) as f64;
-                    self.stats.wait_ticks.push(wait);
-                    self.stats.waited += 1;
-                    served_after_wait += 1;
-                    recorder.sample(Sample::FetchLatencyTicks, wait);
-                    if observing {
-                        // Decompose the wait: ticks spent before the
-                        // transfer launched (queueing) vs. riding the
-                        // wire; the serve itself is same-round (0 ticks),
-                        // kept as a channel so the model stays explicit.
-                        let queueing = a.launched_at.saturating_sub(w.issued_at);
-                        let on_wire = now_tick - w.issued_at.max(a.launched_at);
-                        recorder.sample(Sample::WaitQueueingTicks, queueing as f64);
-                        recorder.sample(Sample::WaitOnWireTicks, on_wire as f64);
-                        recorder.sample(Sample::WaitServeTicks, 0.0);
-                        let staleness = ((1.0 - x) * 1_000.0).round() as u64;
-                        if staleness > 0 {
-                            recorder.attribute(Attr::ServeStalenessByObject, a.object.0, staleness);
-                        }
-                    }
-                }
-            }
-            drop(fetch_span);
-        }
-
-        // (2) The recency the planner sees (post-arrival cache state).
-        let mut recency = std::mem::take(&mut self.recency_buf);
-        {
-            let _recency_span = Span::enter(recorder, Stage::Recency);
-            self.fill_estimated_recency(&mut recency);
-        }
-        let mut downloaded = std::mem::take(&mut self.downloaded);
-        downloaded.clear();
-
-        // (3) Plan. Single-flight keeps requests that can ride an
-        // in-flight transfer out of the instance; the budget loses what
-        // the link already committed; candidates landing rounds away
-        // have their profit amortized over the arrival delay.
-        let plan_span = Span::enter(recorder, Stage::Plan);
-        let planner_input: &[GeneratedRequest] = if coalesce && !instant {
-            flight.active_buf.clear();
-            for r in requests {
-                let rides = flight
-                    .ledger
-                    .joinable(r.object, self.server.version_of(r.object))
-                    && recency[r.object.index()] < 1.0;
-                if !rides {
-                    flight.active_buf.push(*r);
-                }
-            }
-            &flight.active_buf
-        } else {
-            requests
-        };
-        planner.assemble_requests_into(planner_input, &self.catalog, &recency, &mut self.scratch);
-        let excluding = !self.plan_exclusions.is_empty();
-        if (coalesce && !instant) || excluding {
-            // A joinable object can still reach the instance as a
-            // zero-profit item (fresh cache, redundant transfer active);
-            // drop such items so the single-flight contract holds no
-            // matter how the solver tie-breaks zero profit. L2-excluded
-            // objects (the region already holds or is fetching their
-            // current versions) are compacted out in the same pass.
-            let mut keep = 0usize;
-            for i in 0..self.scratch.items.len() {
-                let o = self.scratch.objects[i];
-                let dropped =
-                    (coalesce && !instant && flight.ledger.joinable(o, self.server.version_of(o)))
-                        || (excluding && self.plan_exclusions.binary_search(&o).is_ok());
-                if !dropped {
-                    self.scratch.items[keep] = self.scratch.items[i];
-                    self.scratch.objects[keep] = self.scratch.objects[i];
-                    keep += 1;
-                }
-            }
-            self.scratch.items.truncate(keep);
-            self.scratch.objects.truncate(keep);
-        }
-        let effective_budget = if instant {
-            budget_units
-        } else {
-            let committed = flight.ledger.committed_at(now_tick);
-            if observing {
-                recorder.sample(Sample::CommittedUnits, committed as f64);
-            }
-            for i in 0..self.scratch.items.len() {
-                let item = self.scratch.items[i];
-                let delay = flight.ledger.arrival_delay(item.size(), now_tick);
-                if delay > 1 {
-                    self.scratch.items[i] = Item::new(item.size(), item.profit() / delay as f64);
-                }
-            }
-            budget_units.saturating_sub(committed)
-        };
-        planner.solve_assembled(effective_budget, &mut self.scratch, recorder);
-        downloaded.extend_from_slice(self.scratch.downloads());
-        drop(plan_span);
-        if observing {
-            for &id in &downloaded {
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Planned,
-                    id.0,
-                    self.server.version_of(id).0,
-                    now_tick,
-                ));
-            }
-        }
-
-        // (4) Launch the chosen transfers. Instant ones land right away,
-        // popping back in launch (= ascending object) order, so the
-        // refresh below replays the instantaneous path's loop exactly.
-        let refresh_span = Span::enter(recorder, Stage::Refresh);
-        let launched_count = downloaded.len();
-        for &id in &downloaded {
-            if flight.ledger.is_object_active(id) {
-                recorder.incr(Event::DuplicateFetches);
-            }
-            let version = self.server.version_of(id);
-            let size = self.catalog.size_of(id);
-            if observing {
-                flight
-                    .ledger
-                    .launch_recorded(id, version, size, now_tick, recorder);
-            } else {
-                flight.ledger.launch(id, version, size, now_tick);
-            }
-        }
-        recorder.add(Event::FetchesIssued, launched_count as u64);
-        if instant {
-            flight.waiters.clear();
-            while let Some(a) = if observing {
-                flight
-                    .ledger
-                    .pop_arrival_recorded(now_tick, &mut flight.waiters, recorder)
-            } else {
-                flight.ledger.pop_arrival(now_tick, &mut flight.waiters)
-            } {
-                self.cache
-                    .insert(a.object, a.size, a.version, now)
-                    .expect("unbounded cache never refuses");
-                if let Estimation::Estimator(est) = &mut self.estimation {
-                    est.on_refresh(a.object, now);
-                }
-                units += a.size;
-                arrived_count += 1;
-                if observing {
-                    recorder.attribute(Attr::DownlinkUnitsByObject, a.object.0, a.size);
-                }
-            }
-            debug_assert!(
-                flight.waiters.is_empty(),
-                "instant transfers never park waiters"
-            );
-        }
-        drop(refresh_span);
-        recorder.add(Event::ObjectsDownloaded, arrived_count as u64);
-        recorder.add(Event::UnitsDownloaded, units);
-        if observing && budget_units > 0 {
-            recorder.sample(
-                Sample::DownlinkUtilization,
-                units as f64 / budget_units as f64,
-            );
-        }
-
-        // (5) Serve: a request whose object is on the wire at the
-        // current version parks on that transfer (the naive mode parks
-        // too — the comparison is about duplicate launches, not serving
-        // rules); everything else is answered from the cache exactly as
-        // in the instantaneous step.
-        let serve_span = Span::enter(recorder, Stage::Serve);
-        let downloads_sorted = downloaded.windows(2).all(|w| w[0] <= w[1]);
-        let mut hits = 0usize;
-        let mut served_immediately = 0usize;
-        let mut joined = 0usize;
-        for r in requests {
-            let x = match self.cache.peek(r.object) {
-                Some(entry) => self
-                    .decay
-                    .recency_for_lag(entry.lag(self.server.version_of(r.object))),
-                None => 0.0,
-            };
-            if !instant
-                && x < 1.0
-                && flight
-                    .ledger
-                    .joinable(r.object, self.server.version_of(r.object))
-            {
-                let launched_at = if observing {
-                    flight
-                        .ledger
-                        .join_recorded(r.object, r.target_recency, now_tick, recorder)
-                } else {
-                    flight.ledger.join(r.object, r.target_recency, now_tick)
-                };
-                if launched_at < now_tick {
-                    joined += 1;
-                    recorder.incr(Event::FetchesCoalesced);
-                }
-                continue;
-            }
-            let score = self.scoring.score(x, r.target_recency);
-            recency_acc.push(x);
-            score_acc.push(score);
-            self.stats.recency.push(x);
-            self.stats.score.push(score);
-            let downloaded_now = if downloads_sorted {
-                downloaded.binary_search(&r.object).is_ok()
-            } else {
-                downloaded.contains(&r.object)
-            };
-            if !downloaded_now {
-                hits += 1;
-            }
-            served_immediately += 1;
-            if observing {
-                let staleness = ((1.0 - x) * 1_000.0).round() as u64;
-                if staleness > 0 {
-                    recorder.attribute(Attr::ServeStalenessByObject, r.object.0, staleness);
-                }
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Served,
-                    r.object.0,
-                    self.serve_version(r.object),
-                    now_tick,
-                ));
-            }
-        }
-        drop(serve_span);
-        let served = served_immediately + served_after_wait;
-        recorder.add(Event::RequestsServed, served as u64);
-        if observing && served > 0 {
-            recorder.sample(Sample::CacheHitRatio, hits as f64 / served as f64);
-        }
-
-        self.stats.units_downloaded += units;
-        self.stats.objects_downloaded += arrived_count as u64;
-        self.stats.requests_served += served as u64;
-        self.stats.joined += joined as u64;
-
-        let outcome = RoundOutcome {
-            tick: self.tick,
-            objects_downloaded: arrived_count,
-            units_downloaded: units,
-            average_recency: recency_acc.mean().unwrap_or(1.0),
-            average_score: score_acc.mean().unwrap_or(1.0),
-            served,
-            cache_hits: hits,
-            arrived: arrived_count,
-            launched: launched_count,
-            joined,
-            served_immediately,
-            served_after_wait,
-            still_waiting: flight.ledger.waiting() as usize,
-        };
-        recorder.sample(Sample::AverageRecency, outcome.average_recency);
-        recorder.sample(Sample::AverageScore, outcome.average_score);
-        if observing {
-            recorder.sample(Sample::CachedUnits, self.cache.used() as f64);
-        }
-        recorder.end_round(self.tick);
-        self.downloaded = downloaded;
-        self.recency_buf = recency;
-        self.flight = Some(flight);
-        self.tick += 1;
-        outcome
-    }
-
-    /// The in-flight engine round: the standing-population version of
-    /// [`Self::step_flight`]. Requests of in-flight objects count as
-    /// waiting rather than being parked individually (the population
-    /// persists, so they re-serve columnar in the arrival round), and
-    /// arrivals enter the engine's dirty set through the recency
-    /// observation — the incremental build rescores exactly what landed
-    /// plus whatever the driver touched, so the million-client path gets
-    /// coalescing for free.
-    fn step_engine_flight(
+    /// Serve an engine's standing population columnar: one visit per
+    /// requested object, merging this round's downloads and arrivals.
+    /// An instant download serves all its clients at recency (and score)
+    /// 1.0; a timed launch or a joinable flight leaves them waiting; any
+    /// other object serves at the recency the planner observed, which
+    /// under the oracle is the truth.
+    fn serve_columnar(
         &mut self,
-        engine: &mut crate::engine::RoundEngine,
-        planner: OnDemandPlanner,
-        budget_units: u64,
-    ) -> RoundOutcome {
-        assert_eq!(
-            engine.scoring(),
-            planner.scoring(),
-            "engine and planner must agree on the scoring function"
-        );
-        let mut flight = self
-            .flight
-            .take()
-            .expect("step_engine_flight requires flight state");
-        let recorder: &dyn Recorder = &*self.recorder;
+        engine: &RoundEngine,
+        downloaded: &[ObjectId],
+        recorder: &dyn Recorder,
+        totals: &mut Tally,
+    ) {
         let observing = recorder.enabled();
-        let _step_span = Span::enter(recorder, Stage::Step);
-        recorder.begin_round(self.tick);
-        recorder.incr(Event::Rounds);
-        recorder.sample(Sample::BatchSize, engine.total_requests() as f64);
-
-        let now_tick = self.tick;
-        let now = SimTime::from_ticks(now_tick);
-        let instant = flight.ledger.is_instant();
-        let coalesce = flight.ledger.coalesce();
-
-        // (1) Land earlier rounds' transfers; the standing requests they
-        // answer serve columnar below, off the freshly rescored columns.
-        let mut units = 0u64;
-        let mut arrived_count = 0usize;
-        flight.arrived.clear();
-        if !instant {
-            let fetch_span = Span::enter(recorder, Stage::Fetch);
-            flight.waiters.clear();
-            while let Some(a) = if observing {
-                flight
-                    .ledger
-                    .pop_arrival_recorded(now_tick, &mut flight.waiters, recorder)
+        let tick = self.tick;
+        let instant = self.flight.ledger.is_instant();
+        let stats = &mut self.stats;
+        let server = &self.server;
+        let cache = &self.cache;
+        let ledger = &self.flight.ledger;
+        let arrived = &self.flight.arrived;
+        // Accumulate in a stack copy the closure can keep in registers.
+        let mut tally = std::mem::take(totals);
+        let mut dl = 0usize;
+        let mut ar = 0usize;
+        engine.for_each_active(|a| {
+            while dl < downloaded.len() && downloaded[dl] < a.object {
+                dl += 1;
+            }
+            let downloaded_now = dl < downloaded.len() && downloaded[dl] == a.object;
+            while ar < arrived.len() && arrived[ar].0 < a.object {
+                ar += 1;
+            }
+            let mut arrived_now = false;
+            let mut launched_at = 0u64;
+            while ar < arrived.len() && arrived[ar].0 == a.object {
+                arrived_now = true;
+                launched_at = launched_at.max(arrived[ar].1);
+                ar += 1;
+            }
+            let n = a.requests;
+            let transition = if downloaded_now && instant {
+                tally.recency.push_n(1.0, n);
+                tally.score.push_n(1.0, n);
+                stats.recency.push_n(1.0, n);
+                stats.score.push_n(1.0, n);
+                tally.served_now += n;
+                Transition::Served
+            } else if downloaded_now {
+                // Launched this round: the population waits for it.
+                tally.waiting += n;
+                Transition::Requested
+            } else if !instant
+                && a.recency < 1.0
+                && ledger.joinable(a.object, server.version_of(a.object))
+            {
+                // Riding a transfer launched in an earlier round.
+                recorder.add(Event::FetchesCoalesced, n);
+                tally.joined += n;
+                tally.waiting += n;
+                Transition::Joined
             } else {
-                flight.ledger.pop_arrival(now_tick, &mut flight.waiters)
-            } {
-                self.cache
-                    .insert(a.object, a.size, a.version, now)
-                    .expect("unbounded cache never refuses");
-                units += a.size;
-                arrived_count += 1;
+                tally.recency.push_n(a.recency, n);
+                stats.recency.push_n(a.recency, n);
+                let scores = Welford::from_sums(n, a.score_sum, a.score_sq);
+                tally.score.merge(&scores);
+                stats.score.merge(&scores);
                 if observing {
-                    recorder.attribute(Attr::DownlinkUnitsByObject, a.object.0, a.size);
-                    if a.version != self.server.version_of(a.object) {
-                        // The copy was invalidated while on the wire.
-                        recorder.incr(Event::StaleArrivals);
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::InvalidatedStale,
-                                a.object.0,
-                                a.version.0,
-                                now_tick,
-                            )
-                            .at_launch(a.launched_at),
-                        );
+                    // Staleness charged in thousandths per request,
+                    // attributed once per object for the whole batch.
+                    let staleness = ((1.0 - a.recency) * 1_000.0).round() as u64;
+                    if staleness > 0 {
+                        recorder.attribute(Attr::ServeStalenessByObject, a.object.0, staleness * n);
                     }
                 }
-                flight.arrived.push((a.object, a.launched_at));
-            }
-            debug_assert!(
-                flight.waiters.is_empty(),
-                "the engine path parks no waiters"
-            );
-            // Pop order is launch order; the serve merge needs object
-            // order.
-            flight.arrived.sort_unstable();
-            drop(fetch_span);
-        }
-
-        let mut recency = std::mem::take(&mut self.recency_buf);
-        {
-            let _recency_span = Span::enter(recorder, Stage::Recency);
-            self.fill_estimated_recency(&mut recency);
-        }
-        let mut downloaded = std::mem::take(&mut self.downloaded);
-        downloaded.clear();
-
-        // (2) Plan: arrivals dirtied themselves through the recency
-        // observation (their bits moved), so the incremental build pays
-        // only for what landed; under single-flight, objects already on
-        // the wire at the current version stay out of the instance.
-        let plan_span = Span::enter(recorder, Stage::Plan);
-        engine.observe_recency(&recency);
-        engine.rescore();
-        recorder.sample(Sample::DirtyObjects, engine.dirty_objects() as f64);
-        recorder.sample(Sample::RescoredRequests, engine.rescored_requests() as f64);
-        engine.assemble_into(&mut self.scratch);
-        if coalesce && !instant {
-            let mut keep = 0usize;
-            for i in 0..self.scratch.items.len() {
-                let o = self.scratch.objects[i];
-                if !flight.ledger.joinable(o, self.server.version_of(o)) {
-                    self.scratch.items[keep] = self.scratch.items[i];
-                    self.scratch.objects[keep] = self.scratch.objects[i];
-                    keep += 1;
-                }
-            }
-            self.scratch.items.truncate(keep);
-            self.scratch.objects.truncate(keep);
-        }
-        let effective_budget = if instant {
-            budget_units
-        } else {
-            let committed = flight.ledger.committed_at(now_tick);
-            if observing {
-                recorder.sample(Sample::CommittedUnits, committed as f64);
-            }
-            for i in 0..self.scratch.items.len() {
-                let item = self.scratch.items[i];
-                let delay = flight.ledger.arrival_delay(item.size(), now_tick);
-                if delay > 1 {
-                    self.scratch.items[i] = Item::new(item.size(), item.profit() / delay as f64);
-                }
-            }
-            budget_units.saturating_sub(committed)
-        };
-        planner.solve_assembled(effective_budget, &mut self.scratch, recorder);
-        downloaded.extend_from_slice(self.scratch.downloads());
-        drop(plan_span);
-        if observing {
-            for &id in &downloaded {
-                recorder.lifecycle(LifecycleEvent::new(
-                    Transition::Planned,
-                    id.0,
-                    self.server.version_of(id).0,
-                    now_tick,
-                ));
-            }
-        }
-
-        // (3) Launch; instant transfers land immediately, replaying the
-        // instantaneous refresh loop.
-        let refresh_span = Span::enter(recorder, Stage::Refresh);
-        let launched_count = downloaded.len();
-        for &id in &downloaded {
-            if flight.ledger.is_object_active(id) {
-                recorder.incr(Event::DuplicateFetches);
-            }
-            let version = self.server.version_of(id);
-            let size = self.catalog.size_of(id);
-            if observing {
-                flight
-                    .ledger
-                    .launch_recorded(id, version, size, now_tick, recorder);
-            } else {
-                flight.ledger.launch(id, version, size, now_tick);
-            }
-        }
-        recorder.add(Event::FetchesIssued, launched_count as u64);
-        if instant {
-            flight.waiters.clear();
-            while let Some(a) = if observing {
-                flight
-                    .ledger
-                    .pop_arrival_recorded(now_tick, &mut flight.waiters, recorder)
-            } else {
-                flight.ledger.pop_arrival(now_tick, &mut flight.waiters)
-            } {
-                self.cache
-                    .insert(a.object, a.size, a.version, now)
-                    .expect("unbounded cache never refuses");
-                units += a.size;
-                arrived_count += 1;
-                if observing {
-                    recorder.attribute(Attr::DownlinkUnitsByObject, a.object.0, a.size);
-                }
-            }
-        }
-        drop(refresh_span);
-        recorder.add(Event::ObjectsDownloaded, arrived_count as u64);
-        recorder.add(Event::UnitsDownloaded, units);
-        if observing && budget_units > 0 {
-            recorder.sample(
-                Sample::DownlinkUtilization,
-                units as f64 / budget_units as f64,
-            );
-        }
-
-        // (4) Columnar serve with merge cursors over this round's
-        // launches (waiting), this round's arrivals (served after their
-        // wait) and in-flight joins (waiting, coalesced); everything
-        // else serves exactly as in the instantaneous engine round.
-        let serve_span = Span::enter(recorder, Stage::Serve);
-        let mut recency_acc = Welford::new();
-        let mut score_acc = Welford::new();
-        let mut hits = 0u64;
-        let mut served_after_wait = 0u64;
-        let mut joined = 0u64;
-        let mut waiting = 0u64;
-        let total = engine.total_requests();
-        {
-            let stats = &mut self.stats;
-            let server = &self.server;
-            let cache = &self.cache;
-            let ledger = &flight.ledger;
-            let arrived = &flight.arrived;
-            let mut dl = 0usize;
-            let mut ar = 0usize;
-            engine.for_each_active(|a| {
-                while dl < downloaded.len() && downloaded[dl] < a.object {
-                    dl += 1;
-                }
-                let downloaded_now = dl < downloaded.len() && downloaded[dl] == a.object;
-                while ar < arrived.len() && arrived[ar].0 < a.object {
-                    ar += 1;
-                }
-                let mut arrived_now = false;
-                let mut launched_at = 0u64;
-                while ar < arrived.len() && arrived[ar].0 == a.object {
-                    arrived_now = true;
-                    launched_at = launched_at.max(arrived[ar].1);
-                    ar += 1;
-                }
-                let n = a.requests;
-                let times = n.min(u64::from(u32::MAX)) as u32;
-                let cached_version = || match cache.peek(a.object) {
-                    Some(entry) => entry.version.0,
-                    None => server.version_of(a.object).0,
-                };
-                if downloaded_now && instant {
-                    recency_acc.push_n(1.0, n);
-                    score_acc.push_n(1.0, n);
-                    stats.recency.push_n(1.0, n);
-                    stats.score.push_n(1.0, n);
+                if arrived_now {
+                    let wait = (tick - launched_at) as f64;
+                    stats.wait_ticks.push_n(wait, n);
+                    stats.waited += n;
+                    tally.served_after_wait += n;
+                    recorder.sample(Sample::FetchLatencyTicks, wait);
                     if observing && n > 0 {
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::Served,
-                                a.object.0,
-                                cached_version(),
-                                now_tick,
-                            )
-                            .times(times),
-                        );
+                        // Standing requests wait from the launch round,
+                        // so the whole wait rides the wire; the serve is
+                        // same-round.
+                        recorder.sample(Sample::WaitQueueingTicks, 0.0);
+                        recorder.sample(Sample::WaitOnWireTicks, wait);
+                        recorder.sample(Sample::WaitServeTicks, 0.0);
                     }
-                } else if downloaded_now {
-                    // Launched this round: the population waits for it.
-                    waiting += n;
-                    if observing && n > 0 {
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::Requested,
-                                a.object.0,
-                                server.version_of(a.object).0,
-                                now_tick,
-                            )
-                            .times(times),
-                        );
-                    }
-                } else if !instant
-                    && a.recency < 1.0
-                    && ledger.joinable(a.object, server.version_of(a.object))
-                {
-                    // Riding a transfer launched in an earlier round.
-                    recorder.add(Event::FetchesCoalesced, n);
-                    joined += n;
-                    waiting += n;
-                    if observing && n > 0 {
-                        recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::Joined,
-                                a.object.0,
-                                server.version_of(a.object).0,
-                                now_tick,
-                            )
-                            .times(times),
-                        );
-                    }
+                    Transition::ServedFromWait
                 } else {
-                    recency_acc.push_n(a.recency, n);
-                    stats.recency.push_n(a.recency, n);
-                    let scores = Welford::from_sums(n, a.score_sum, a.score_sq);
-                    score_acc.merge(&scores);
-                    stats.score.merge(&scores);
-                    if arrived_now {
-                        let wait = (now_tick - launched_at) as f64;
-                        stats.wait_ticks.push_n(wait, n);
-                        stats.waited += n;
-                        served_after_wait += n;
-                        recorder.sample(Sample::FetchLatencyTicks, wait);
-                        if observing && n > 0 {
-                            // Standing requests wait from the launch round,
-                            // so the whole wait rides the wire; the serve is
-                            // same-round.
-                            recorder.sample(Sample::WaitQueueingTicks, 0.0);
-                            recorder.sample(Sample::WaitOnWireTicks, wait);
-                            recorder.sample(Sample::WaitServeTicks, 0.0);
-                            recorder.lifecycle(
-                                LifecycleEvent::new(
-                                    Transition::ServedFromWait,
-                                    a.object.0,
-                                    cached_version(),
-                                    now_tick,
-                                )
-                                .at_launch(launched_at)
-                                .times(times),
-                            );
-                        }
-                    } else {
-                        hits += n;
-                        if observing && n > 0 {
-                            recorder.lifecycle(
-                                LifecycleEvent::new(
-                                    Transition::Served,
-                                    a.object.0,
-                                    cached_version(),
-                                    now_tick,
-                                )
-                                .times(times),
-                            );
-                        }
-                    }
-                    if observing {
-                        let staleness = ((1.0 - a.recency) * 1_000.0).round() as u64;
-                        if staleness > 0 {
-                            recorder.attribute(
-                                Attr::ServeStalenessByObject,
-                                a.object.0,
-                                staleness * n,
-                            );
-                        }
-                    }
+                    tally.hits += n;
+                    tally.served_now += n;
+                    Transition::Served
                 }
-            });
-        }
-        drop(serve_span);
-        let served = total - waiting;
-        recorder.add(Event::RequestsServed, served);
-        if observing && served > 0 {
-            recorder.sample(Sample::CacheHitRatio, hits as f64 / served as f64);
-        }
+            };
+            if observing && n > 0 {
+                // Serves carry the cached copy's version, waits the
+                // version on the wire.
+                let version = match (transition, cache.peek(a.object)) {
+                    (Transition::Served | Transition::ServedFromWait, Some(entry)) => entry.version,
+                    _ => server.version_of(a.object),
+                };
+                let mut event = LifecycleEvent::new(transition, a.object.0, version.0, tick)
+                    .times(n.min(u64::from(u32::MAX)) as u32);
+                if transition == Transition::ServedFromWait {
+                    event = event.at_launch(launched_at);
+                }
+                recorder.lifecycle(event);
+            }
+        });
+        *totals = tally;
+    }
+}
 
-        self.stats.units_downloaded += units;
-        self.stats.objects_downloaded += arrived_count as u64;
-        self.stats.requests_served += served;
-        self.stats.joined += joined;
+/// What a round serves.
+enum Demand<'a> {
+    /// A flat batch of this round's requests, served one by one.
+    Batch(&'a [GeneratedRequest]),
+    /// A round engine's standing population, served columnar.
+    Engine(&'a mut RoundEngine),
+}
 
-        let outcome = RoundOutcome {
-            tick: self.tick,
-            objects_downloaded: arrived_count,
-            units_downloaded: units,
-            average_recency: recency_acc.mean().unwrap_or(1.0),
-            average_score: score_acc.mean().unwrap_or(1.0),
-            served: served as usize,
-            cache_hits: hits as usize,
-            arrived: arrived_count,
-            launched: launched_count,
-            joined: joined as usize,
-            served_immediately: (served - served_after_wait) as usize,
-            served_after_wait: served_after_wait as usize,
-            still_waiting: waiting as usize,
-        };
-        recorder.sample(Sample::AverageRecency, outcome.average_recency);
-        recorder.sample(Sample::AverageScore, outcome.average_score);
-        if observing {
-            recorder.sample(Sample::CachedUnits, self.cache.used() as f64);
+/// One round's running totals, filled by the landing and serve stages.
+#[derive(Default)]
+struct Tally {
+    recency: Welford,
+    score: Welford,
+    /// Units and transfers that landed this round.
+    units: u64,
+    arrived: usize,
+    /// Requests served in their own round; the cache hits among them;
+    /// requests served on arrival of the transfer they waited for.
+    served_now: u64,
+    hits: u64,
+    served_after_wait: u64,
+    /// Requests that joined a transfer launched in an earlier round.
+    joined: u64,
+    /// Requests left waiting on a transfer at the end of the round.
+    waiting: u64,
+}
+
+/// The policy's per-round budget in data units (`None` for the
+/// `k`-object policies).
+fn unit_budget(policy: &Policy) -> Option<u64> {
+    match *policy {
+        Policy::OnDemand { budget_units, .. } | Policy::Hybrid { budget_units, .. } => {
+            Some(budget_units)
         }
-        recorder.end_round(self.tick);
-        self.downloaded = downloaded;
-        self.recency_buf = recency;
-        self.flight = Some(flight);
-        self.tick += 1;
-        outcome
+        Policy::OnDemandAdaptive { max_budget, .. } => Some(max_budget),
+        Policy::OnDemandLowestRecency { .. } | Policy::AsyncRoundRobin { .. } => None,
     }
 }
 
@@ -1958,18 +1372,14 @@ mod tests {
         // everything stays fresh, so after the real update wave the
         // planner downloads nothing — and the *measured* score honestly
         // reports the resulting staleness.
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
-        let mut s = station(
-            Catalog::uniform_unit(4),
-            Policy::OnDemand {
-                planner,
-                budget_units: 100,
-            },
-        )
-        .with_estimation(Estimation::Estimator(Box::new(TtlEstimator::new(
-            1000,
-            DecayModel::default(),
-        ))));
+        let mut s = crate::builder::StationBuilder::new(Catalog::uniform_unit(4))
+            .on_demand(
+                OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
+                100,
+            )
+            .estimator(Box::new(TtlEstimator::new(1000, DecayModel::default())))
+            .build()
+            .expect("valid configuration");
         s.step(&[req(0)]);
         s.apply_update_wave();
         let out = s.step(&[req(0)]);
@@ -1986,20 +1396,16 @@ mod tests {
         use crate::recency::DecayModel;
         use basecache_net::ReportLog;
 
-        let planner = OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp);
         let catalog = Catalog::uniform_unit(4);
         let mut log = ReportLog::new(&catalog);
-        let mut s = station(
-            catalog,
-            Policy::OnDemand {
-                planner,
-                budget_units: 100,
-            },
-        )
-        .with_estimation(Estimation::Estimator(Box::new(ReportEstimator::new(
-            4,
-            DecayModel::default(),
-        ))));
+        let mut s = crate::builder::StationBuilder::new(catalog)
+            .on_demand(
+                OnDemandPlanner::new(ScoringFunction::InverseRatio, SolverChoice::ExactDp),
+                100,
+            )
+            .estimator(Box::new(ReportEstimator::new(4, DecayModel::default())))
+            .build()
+            .expect("valid configuration");
         s.step(&[req(0)]);
         // Server updates; the report reaches the station.
         s.apply_update_wave();
@@ -2013,6 +1419,21 @@ mod tests {
             "report reveals the staleness"
         );
         assert_eq!(out.average_score, 1.0);
+    }
+
+    #[test]
+    fn engine_rounds_honour_plan_exclusions() {
+        let mut s = on_demand_station(4, 100);
+        let mut engine = RoundEngine::new(s.catalog(), ScoringFunction::InverseRatio);
+        engine.push_request(ObjectId(1), 1.0);
+        engine.push_request(ObjectId(2), 1.0);
+        s.step_engine(&mut engine);
+        s.apply_update_wave();
+        // The regional tier holds object 1's current version: this cell
+        // must not re-buy it from origin, stale as its copy is.
+        s.set_plan_exclusions(&[ObjectId(1)]);
+        s.step_engine(&mut engine);
+        assert_eq!(s.last_downloaded(), &[ObjectId(2)]);
     }
 
     #[test]

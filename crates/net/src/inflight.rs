@@ -35,13 +35,13 @@
 //!
 //! `bandwidth_per_round == 0` means *instant*: transfers arrive in the
 //! round they are launched, nothing commits bandwidth, and the whole
-//! subsystem degenerates to the paper's same-round download model (the
-//! transfer-time-zero parity tests pin this bit-identical to the
-//! instantaneous step path).
+//! subsystem degenerates to the paper's same-round download model — the
+//! base station's default round runs on an instant ledger.
 //!
 //! Steady-state operation allocates nothing: the transfer queue is a
 //! ring, waiters live in a free-listed pool, and both only grow while
-//! the simulation is warming up.
+//! the simulation is warming up. See [`InFlightLedger`] for the bound on
+//! each buffer.
 
 use crate::object::{ObjectId, Version};
 use basecache_obs::{LifecycleEvent, Recorder, Transition};
@@ -197,6 +197,21 @@ struct PerObject {
 
 /// Tracks transfers occupying the fixed network across rounds. See the
 /// module docs for the model.
+///
+/// Buffer bounds:
+///
+/// * **Per-object table** — one 24-byte entry per catalog object on a
+///   timed link; none on an instant one, which tracks no per-object
+///   activity: its transfers arrive in their launch round, so there is
+///   nothing to join, and [`Self::joinable`] / [`Self::is_object_active`]
+///   always answer `false`.
+/// * **Transfer ring** — the peak number of transfers in flight at
+///   once. On a timed link that is bounded by the backlog the planner
+///   lets build up; on an instant one it is at most one entry when the
+///   caller pops each transfer right after launching it, as the base
+///   station does.
+/// * **Waiter pool** — the peak number of parked requests; slots are
+///   recycled through a free list, never released.
 #[derive(Debug)]
 pub struct InFlightLedger {
     config: InFlightConfig,
@@ -218,14 +233,20 @@ pub struct InFlightLedger {
 }
 
 impl InFlightLedger {
-    /// A ledger over `num_objects` objects (ids `0..num_objects`).
+    /// A ledger over `num_objects` objects (ids `0..num_objects`). An
+    /// instant ledger allocates nothing up front.
     pub fn new(config: InFlightConfig, num_objects: usize) -> Self {
+        let tracked = if config.bandwidth_per_round == 0 {
+            0
+        } else {
+            num_objects
+        };
         Self {
             config,
             transfers: VecDeque::new(),
             front_seq: 0,
             next_seq: 0,
-            per_object: vec![PerObject::default(); num_objects],
+            per_object: vec![PerObject::default(); tracked],
             slots: Vec::new(),
             free_head: NIL,
             waiting: 0,
@@ -301,13 +322,13 @@ impl InFlightLedger {
     /// version was invalidated mid-flight is never joinable — later
     /// requesters must fetch (or join a fetch of) the fresh version.
     pub fn joinable(&self, object: ObjectId, current: Version) -> bool {
-        let po = &self.per_object[object.index()];
-        po.active > 0 && po.newest_version == current
+        self.tracked(object)
+            .is_some_and(|po| po.active > 0 && po.newest_version == current)
     }
 
     /// Whether `object` has any active transfer (any version).
     pub fn is_object_active(&self, object: ObjectId) -> bool {
-        self.per_object[object.index()].active > 0
+        self.tracked(object).is_some_and(|po| po.active > 0)
     }
 
     /// Park a request on `object`'s newest active transfer; it will be
@@ -318,9 +339,10 @@ impl InFlightLedger {
     /// # Panics
     ///
     /// Panics if the object has no active transfer — callers gate on
-    /// [`Self::joinable`] / [`Self::is_object_active`].
+    /// [`Self::joinable`] / [`Self::is_object_active`] (always `false` on
+    /// an instant ledger).
     pub fn join(&mut self, object: ObjectId, target_recency: f64, now: u64) -> u64 {
-        let po = self.per_object[object.index()];
+        let po = self.tracked(object).copied().unwrap_or_default();
         assert!(
             po.active > 0,
             "join requires an active transfer for {object:?}"
@@ -377,7 +399,7 @@ impl InFlightLedger {
                 "single-flight violation: {object:?} {version:?} is already in flight"
             );
         }
-        if self.per_object[object.index()].active > 0 {
+        if self.is_object_active(object) {
             self.stats.duplicate_launches += 1;
         }
         self.drain_to(now);
@@ -398,10 +420,11 @@ impl InFlightLedger {
             waiters_head: NIL,
             waiters_tail: NIL,
         });
-        let po = &mut self.per_object[object.index()];
-        po.active += 1;
-        po.newest_seq = seq;
-        po.newest_version = version;
+        if let Some(po) = self.tracked_mut(object) {
+            po.active += 1;
+            po.newest_seq = seq;
+            po.newest_version = version;
+        }
         self.stats.launched += 1;
         self.stats.units_launched += size;
         arrives_at
@@ -422,7 +445,9 @@ impl InFlightLedger {
         }
         let t = self.transfers.pop_front().expect("checked non-empty");
         self.front_seq += 1;
-        self.per_object[t.object.index()].active -= 1;
+        if let Some(po) = self.tracked_mut(t.object) {
+            po.active -= 1;
+        }
         let mut served = 0usize;
         let mut cur = t.waiters_head;
         while cur != NIL {
@@ -475,8 +500,8 @@ impl InFlightLedger {
         now: u64,
         recorder: &R,
     ) -> u64 {
-        let version = self.per_object[object.index()].newest_version;
         let launched_at = self.join(object, target_recency, now);
+        let version = self.per_object[object.index()].newest_version;
         recorder.lifecycle(
             LifecycleEvent::new(Transition::Joined, object.0, version.0, now)
                 .at_launch(launched_at),
@@ -538,6 +563,21 @@ impl InFlightLedger {
     /// Lifetime activity counters.
     pub fn stats(&self) -> &LedgerStats {
         &self.stats
+    }
+
+    /// `object`'s per-object entry; `None` on an instant ledger, which
+    /// keeps no table.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a timed ledger if `object` is outside its table.
+    fn tracked(&self, object: ObjectId) -> Option<&PerObject> {
+        (!self.is_instant()).then(|| &self.per_object[object.index()])
+    }
+
+    /// Mutable [`Self::tracked`].
+    fn tracked_mut(&mut self, object: ObjectId) -> Option<&mut PerObject> {
+        (!self.is_instant()).then(|| &mut self.per_object[object.index()])
     }
 
     fn drain_to(&mut self, now: u64) {
@@ -660,6 +700,22 @@ mod tests {
         let mut w = Vec::new();
         let a = l.pop_arrival(7, &mut w).expect("same-round arrival");
         assert_eq!(a.launched_at, 7);
+    }
+
+    #[test]
+    fn instant_ledger_keeps_no_per_object_table() {
+        let mut l = InFlightLedger::new(InFlightConfig::coalescing(0), 1_000_000);
+        assert!(l.per_object.is_empty(), "no catalog-sized buffer");
+        l.launch(ObjectId(999_999), Version(0), 5, 3);
+        assert!(!l.joinable(ObjectId(999_999), Version(0)));
+        assert!(!l.is_object_active(ObjectId(999_999)));
+        let mut w = Vec::new();
+        let a = l.pop_arrival(3, &mut w).expect("same-round arrival");
+        assert_eq!(
+            (a.object, a.launched_at, a.waiters),
+            (ObjectId(999_999), 3, 0)
+        );
+        assert_eq!(l.active_transfers(), 0);
     }
 
     #[test]

@@ -20,52 +20,6 @@ echo "==> workspace tests (+ property suites)"
 cargo test --workspace -q
 cargo test --workspace --features proptest -q
 
-echo "==> builder migration lint (no deprecated BaseStationSim::new outside the shim)"
-# The deprecated constructor may appear only where it is defined, where the
-# builder delegates to it, and in the one shim test that pins its behavior.
-violations=$(grep -rn "BaseStationSim::new(" \
-    --include='*.rs' \
-    crates/ tests/ examples/ src/ \
-    | grep -v "crates/core/src/station.rs" \
-    | grep -v "crates/core/src/builder.rs" \
-    | grep -v "crates/core/tests/builder_shim.rs" \
-    || true)
-if [ -n "$violations" ]; then
-    echo "error: deprecated BaseStationSim::new used outside the builder shim:" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-
-echo "==> outcome migration lint (no deprecated StepOutcome/LatencyStepOutcome)"
-# The deprecated aliases may appear only where they are defined (and in
-# their own pin test) and on the deprecated re-export line in lib.rs.
-violations=$(grep -rnE '\bStepOutcome\b|\bLatencyStepOutcome\b' \
-    --include='*.rs' \
-    crates/ tests/ examples/ src/ \
-    | grep -v "crates/core/src/outcome.rs" \
-    | grep -v "crates/core/src/lib.rs" \
-    || true)
-if [ -n "$violations" ]; then
-    echo "error: deprecated StepOutcome/LatencyStepOutcome used outside the alias shim (use RoundOutcome):" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-
-echo "==> latency-pipeline migration lint (no ad-hoc LatencyAwareSim constructors)"
-# Construction goes through StationBuilder::build_latency_aware; the
-# deprecated constructors may appear only in pipeline.rs (definition and
-# the shim-parity pin test).
-violations=$(grep -rnE 'LatencyAwareSim::(new|with_backbone)\(' \
-    --include='*.rs' \
-    crates/ tests/ examples/ src/ \
-    | grep -v "crates/core/src/pipeline.rs" \
-    || true)
-if [ -n "$violations" ]; then
-    echo "error: deprecated LatencyAwareSim constructor used outside the shim (use StationBuilder::build_latency_aware):" >&2
-    echo "$violations" >&2
-    exit 1
-fi
-
 echo "==> flash-crowd smoke test (ext-flash-crowd quick run)"
 crowd_out=$(mktemp -d)
 cargo run -q -p basecache-experiments --release -- ext-flash-crowd --quick --csv "$crowd_out"
