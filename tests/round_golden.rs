@@ -1,4 +1,4 @@
-//! Golden digests of the base station's round behaviour.
+//! Golden digests of the base stations' round behaviour.
 //!
 //! Every scenario drives one station over a fixed, seeded script and
 //! folds everything the round produces into a 64-bit FNV-1a digest: the
@@ -14,15 +14,21 @@
 //! ledgers (`bandwidth_per_round == 0`) pin the same digest as a station
 //! built without `in_flight`: the paper's same-round download model is
 //! the zero-duration case of the ledger.
+//!
+//! The latency-aware station (`LatencyAwareSim`) is pinned the same way
+//! over private and shared fixed networks: its outcomes, final
+//! `LatencyStats`, link and downlink counters, a `StatsRecorder`
+//! snapshot (counters and samples, including the wait decomposition)
+//! and the lifecycle spans it emitted.
 
 use basecache::core::engine::RoundEngine;
 use basecache::core::estimator::{ReportEstimator, TtlEstimator};
 use basecache::core::planner::{OnDemandPlanner, SolverChoice};
 use basecache::core::recency::{DecayModel, ScoringFunction};
-use basecache::core::{BaseStationSim, Policy, RoundOutcome, StationBuilder};
-use basecache::net::{Catalog, InFlightConfig, ObjectId, ReportLog};
-use basecache::obs::FlightRecorder;
-use basecache::sim::{RngStreams, SimTime, StreamRng};
+use basecache::core::{BaseStationSim, LatencyAwareSim, Policy, RoundOutcome, StationBuilder};
+use basecache::net::{Catalog, Downlink, InFlightConfig, Link, ObjectId, ReportLog, SharedLink};
+use basecache::obs::{FlightRecorder, LifecycleRecorder, Recorder, StatsRecorder, Tee};
+use basecache::sim::{RngStreams, SimDuration, SimTime, StreamRng};
 use basecache::workload::GeneratedRequest;
 
 const OBJECTS: usize = 32;
@@ -99,6 +105,75 @@ impl Digest {
                 r.units_fetched,
                 r.plan_profit.to_bits(),
                 r.profit_bound.to_bits(),
+            ]);
+        }
+    }
+}
+
+/// The recorder a latency-aware script installs on each station.
+type LatencyRecorder = Tee<StatsRecorder, LifecycleRecorder>;
+
+impl Digest {
+    fn bytes(&mut self, text: &str) {
+        for byte in text.bytes() {
+            self.word(u64::from(byte));
+        }
+    }
+
+    /// A latency-aware station's final state: its stats (exact through
+    /// their `Debug` form), downlink counters, the recorder's counters
+    /// and samples (span timings are wall-clock, so only their counts)
+    /// and every lifecycle span.
+    fn latency_station(&mut self, sim: &LatencyAwareSim) {
+        self.bytes(&format!("{:?}", sim.stats()));
+        let downlink = sim.downlink();
+        self.words(&[
+            downlink.deliveries(),
+            downlink.delivered_units(),
+            downlink.idle_ticks(),
+        ]);
+        sim.observe_infrastructure();
+        let recorder = sim
+            .recorder()
+            .as_any()
+            .downcast_ref::<LatencyRecorder>()
+            .expect("a stats + lifecycle tee was installed");
+        let snap = recorder.left.snapshot();
+        for c in &snap.counters {
+            self.bytes(c.name);
+            self.word(c.value);
+        }
+        for s in &snap.samples {
+            self.bytes(s.name);
+            self.words(&[
+                s.count,
+                s.mean.to_bits(),
+                s.std_dev.to_bits(),
+                s.min.to_bits(),
+                s.max.to_bits(),
+                s.p95.to_bits(),
+            ]);
+        }
+        for sp in &snap.spans {
+            self.bytes(sp.name);
+            self.word(sp.count);
+        }
+        let spans = recorder.right.spans();
+        self.word(spans.len() as u64);
+        self.word(recorder.right.dropped());
+        for s in spans {
+            self.words(&[
+                u64::from(s.object),
+                s.version,
+                s.opened_tick,
+                s.launch_tick,
+                s.arrived_tick,
+                s.last_tick,
+                u64::from(s.joined),
+                u64::from(s.served),
+                u64::from(s.stale),
+                u64::from(s.open),
+                s.seq,
             ]);
         }
     }
@@ -266,6 +341,55 @@ fn engine_run(flight: Option<InFlightConfig>, seed: u64) -> u64 {
     digest.0
 }
 
+/// A latency-aware script: `stations` stations stepped in lockstep over
+/// one fixed network of `bandwidth` units per tick and `latency` ticks,
+/// each with its own downlink, server and request stream, under update
+/// waves every few ticks. Ends with drain rounds of empty batches.
+fn latency_run(bandwidth: u64, latency: u64, budget: u64, stations: usize, seed: u64) -> u64 {
+    let fixed_net = SharedLink::new(Link::new(bandwidth, SimDuration::from_ticks(latency)));
+    let mut sims: Vec<LatencyAwareSim> = (0..stations)
+        .map(|_| {
+            let recorder: LatencyRecorder =
+                Tee::new(StatsRecorder::new(), LifecycleRecorder::new(16, 256));
+            StationBuilder::new(catalog())
+                .on_demand(exact(), budget)
+                .recorder(Box::new(recorder))
+                .build_latency_aware(fixed_net.clone(), Downlink::new(6, SimDuration::ZERO))
+                .expect("valid latency configuration")
+        })
+        .collect();
+    let streams = RngStreams::new(seed);
+    let mut rngs: Vec<StreamRng> = (0..stations)
+        .map(|i| streams.stream_indexed("golden/latency", i as u64))
+        .collect();
+    let mut digest = Digest::new();
+    for t in 0..ROUNDS + 12 {
+        for (sim, rng) in sims.iter_mut().zip(&mut rngs) {
+            if t % 4 == 2 {
+                sim.apply_update_wave();
+            }
+            if t % 5 == 1 {
+                let o = ObjectId(rng.random_range(0..OBJECTS as u32));
+                sim.server_mut().apply_update(o, SimTime::from_ticks(t));
+            }
+            let batch = if t < ROUNDS {
+                arb_batch(rng)
+            } else {
+                Vec::new()
+            };
+            digest.outcome(&sim.step(&batch));
+        }
+    }
+    {
+        let link = fixed_net.lock();
+        digest.words(&[link.bytes_sent(), link.transfers(), link.busy_ticks()]);
+    }
+    for sim in &sims {
+        digest.latency_station(sim);
+    }
+    digest.0
+}
+
 const SEED: u64 = 41;
 
 /// The on-demand batch digest: the exact DP, the adaptive solver (bit-
@@ -406,6 +530,46 @@ fn engine_rounds_match_their_golden_digests() {
         .iter()
         .filter_map(|&(name, flight, want)| {
             let got = engine_run(flight, SEED);
+            (got != want).then(|| format!("{name}: got {got:#018x}, pinned {want:#018x}"))
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn latency_aware_rounds_match_their_golden_digests() {
+    // (name, bandwidth, latency, refresh budget, stations, digest)
+    let cases: [(&str, u64, u64, u64, usize, u64); 4] = [
+        (
+            "latency/private/latency0",
+            4,
+            0,
+            BUDGET,
+            1,
+            0xce71_eb21_5839_6e4a,
+        ),
+        (
+            "latency/private/latency3",
+            4,
+            3,
+            BUDGET,
+            1,
+            0x27c9_37ff_b70a_5e38,
+        ),
+        (
+            "latency/private/bandwidth1",
+            1,
+            2,
+            3,
+            1,
+            0x8f01_7342_e7ba_9327,
+        ),
+        ("latency/shared/lockstep", 5, 1, 6, 2, 0xad83_0dd0_5a1b_e1b9),
+    ];
+    let mismatches: Vec<String> = cases
+        .iter()
+        .filter_map(|&(name, bandwidth, latency, budget, stations, want)| {
+            let got = latency_run(bandwidth, latency, budget, stations, SEED);
             (got != want).then(|| format!("{name}: got {got:#018x}, pinned {want:#018x}"))
         })
         .collect();
