@@ -1,48 +1,18 @@
 //! Shared fixtures and a hand-rolled timing harness for the benches:
-//! deterministic instances, populations and request batches at paper
-//! scale, plus [`harness`] — a small warmup/calibrate/sample loop with
-//! median/mean/min reporting, so the bench binaries are plain `main()`
-//! programs with zero external dependencies.
+//! deterministic request batches at paper scale, plus [`harness`] — a
+//! small warmup/calibrate/sample loop with median/mean/min reporting, so
+//! the bench binaries are plain `main()` programs with zero external
+//! dependencies.
 
 use basecache_core::request::RequestBatch;
-use basecache_knapsack::{Instance, Item};
-use basecache_net::{Catalog, ObjectId};
+use basecache_net::Catalog;
 use basecache_sim::RngStreams;
-use basecache_workload::{
-    Correlation, GeneratedRequest, NumRequestsMode, Popularity, RequestGenerator, Table1Spec,
-    TargetRecency,
-};
+use basecache_workload::{GeneratedRequest, Popularity, RequestGenerator, TargetRecency};
 
 pub mod cluster_suite;
 pub mod harness;
 pub mod massive_suite;
 pub mod planner_suite;
-
-/// A deterministic knapsack instance with `n` items, sizes `U[1, 20]`,
-/// profits `U(0, 20]`.
-pub fn knapsack_instance(n: usize, seed: u64) -> Instance {
-    let mut rng = RngStreams::new(seed).stream("bench/knapsack");
-    let items = (0..n)
-        .map(|_| {
-            Item::new(
-                rng.random_range(1..=20u64),
-                rng.random_range(0.01..=20.0f64),
-            )
-        })
-        .collect();
-    Instance::new(items).expect("generated profits are valid")
-}
-
-/// The paper's Table 1 population (skewed variant).
-pub fn table1_population() -> basecache_workload::Table1Population {
-    Table1Spec {
-        num_requests: NumRequestsMode::UniformInt { lo: 1, hi: 20 },
-        size_num_requests: Correlation::Negative,
-        size_recency: Correlation::Positive,
-        ..Table1Spec::paper_default()
-    }
-    .generate(12345)
-}
 
 /// A live planning round at roughly paper scale, as the raw generated
 /// requests (the form [`BaseStationSim::step`] receives): requests,
@@ -82,9 +52,4 @@ pub fn planning_round(
 ) -> (RequestBatch, Catalog, Vec<f64>) {
     let (generated, catalog, recency) = planning_requests(objects, requests, seed);
     (RequestBatch::from_generated(&generated), catalog, recency)
-}
-
-/// Dense object-id list for cache-churn benches.
-pub fn churn_ids(n: u32) -> Vec<ObjectId> {
-    (0..n).map(ObjectId).collect()
 }

@@ -13,7 +13,7 @@
 //!   [`ProfitAware`] — the paper's future-work policy, evicting the entry
 //!   with the lowest externally supplied weight (e.g. download-benefit
 //!   density from the planner) — and [`GreedyDualSize`], all compared in
-//!   the `cache_policies` bench and the `ext-bounded-cache` experiment.
+//!   the `ext-bounded-cache` experiment.
 //!
 //! # Example
 //!

@@ -55,11 +55,7 @@ impl Cell {
         // are on the wire, not new demand — subtract them so the
         // arbiter stops double-counting bandwidth. Zero under instant
         // transfers, which commit nothing.
-        let committed = self
-            .station
-            .flight_ledger()
-            .map_or(0, |ledger| ledger.committed_at(self.station.tick()));
-        demand.saturating_sub(committed)
+        demand.saturating_sub(self.station.committed_units())
     }
 
     fn step(&mut self) -> RoundOutcome {

@@ -21,14 +21,20 @@
 //! 3. Requests for cached objects are answered immediately from the
 //!    cache (possibly stale) over the downlink; requests for uncached
 //!    objects wait for step 1 of a later tick.
-
-use std::collections::HashSet;
+//!
+//! Transfers and their waiters live on an [`InFlightLedger`], the same
+//! single-flight ledger [`crate::BaseStationSim`] runs on, timed by the
+//! shared [`Link`]: at most one transfer per object is on the wire, and
+//! requests for an uncached object park on it until it lands.
 
 use basecache_cache::CacheStore;
-use basecache_net::{Catalog, Downlink, Link, ObjectId, RemoteServer, SharedLink, Version};
+use basecache_net::{
+    Catalog, Downlink, InFlightConfig, InFlightLedger, Link, ObjectId, ParkedWaiter, RemoteServer,
+    SharedLink,
+};
 use basecache_obs::{Event, LifecycleEvent, Recorder, Sample, Snapshot, Span, Stage, Transition};
 use basecache_sim::metrics::Welford;
-use basecache_sim::{P2Quantile, Scheduler, SimTime};
+use basecache_sim::{P2Quantile, SimTime};
 use basecache_workload::GeneratedRequest;
 
 use crate::outcome::RoundOutcome;
@@ -36,28 +42,6 @@ use crate::planner::OnDemandPlanner;
 use crate::recency::{DecayModel, ScoringFunction};
 use crate::request::RequestBatch;
 use basecache_net::ClientId;
-
-/// An in-flight download completing at its scheduled time.
-#[derive(Debug, Clone, Copy)]
-struct Arrival {
-    object: ObjectId,
-    version: Version,
-    /// Tick the transfer entered the fixed network (lifecycle-span
-    /// correlation).
-    launched_at: u64,
-    /// Tick the first byte actually went out — later than `launched_at`
-    /// when the link's queue was backed up (wait decomposition:
-    /// queueing vs. on-wire).
-    started_at: u64,
-}
-
-/// A client request parked until its object arrives.
-#[derive(Debug, Clone, Copy)]
-struct Waiting {
-    object: ObjectId,
-    target_recency: f64,
-    issued_at: SimTime,
-}
 
 /// Aggregate measurements of a [`LatencyAwareSim`] run.
 #[derive(Debug, Clone)]
@@ -101,9 +85,11 @@ pub struct LatencyAwareSim {
     downlink: Downlink,
     decay: DecayModel,
     scoring: ScoringFunction,
-    in_flight: Scheduler<Arrival>,
-    pending: HashSet<ObjectId>,
-    waiting: Vec<Waiting>,
+    /// Downloads on the fixed network and the requests parked on them.
+    flight: InFlightLedger,
+    /// Waiters drained from one arriving transfer, reused across
+    /// arrivals.
+    waiters: Vec<ParkedWaiter>,
     tick: u64,
     stats: LatencyStats,
     recorder: Box<dyn Recorder>,
@@ -132,6 +118,8 @@ impl LatencyAwareSim {
         recorder: Box<dyn Recorder>,
     ) -> Self {
         let server = RemoteServer::new(&catalog);
+        let bandwidth = fixed_net.lock().bandwidth_per_tick();
+        let flight = InFlightLedger::new(InFlightConfig::coalescing(bandwidth), catalog.len());
         Self {
             catalog,
             server,
@@ -142,9 +130,8 @@ impl LatencyAwareSim {
             downlink,
             decay,
             scoring,
-            in_flight: Scheduler::new(),
-            pending: HashSet::new(),
-            waiting: Vec::new(),
+            flight,
+            waiters: Vec::new(),
             tick: 0,
             stats: LatencyStats::default(),
             recorder,
@@ -158,7 +145,8 @@ impl LatencyAwareSim {
 
     /// Report the cumulative infrastructure figures to the recorder: the
     /// downlink's deliveries and utilization, the fixed network's
-    /// utilization, and the in-flight scheduler's processed events. Call
+    /// utilization, and the arrivals the in-flight ledger has processed
+    /// (on the scheduler-events channel). Call
     /// once per run (the figures are cumulative since construction), then
     /// read everything back with [`Self::obs_snapshot`].
     pub fn observe_infrastructure(&self) {
@@ -172,7 +160,7 @@ impl LatencyAwareSim {
             Sample::LinkUtilization,
             self.fixed_net.lock().utilization(now),
         );
-        recorder.add(Event::SchedulerEvents, self.in_flight.stats().processed);
+        recorder.add(Event::SchedulerEvents, self.flight.stats().completed);
     }
 
     /// Materialize everything the installed recorder observed (empty
@@ -229,7 +217,7 @@ impl LatencyAwareSim {
 
     /// Launch a download of `object` at `now`, if not already in flight.
     fn launch(&mut self, object: ObjectId, now: SimTime) -> bool {
-        if !self.pending.insert(object) {
+        if self.flight.is_object_active(object) {
             return false;
         }
         let size = self.catalog.size_of(object);
@@ -237,21 +225,8 @@ impl LatencyAwareSim {
         let timing = self.fixed_net.enqueue(now, size);
         self.stats.units_downloaded += size;
         self.recorder.incr(Event::FetchesIssued);
-        if self.recorder.enabled() {
-            self.recorder.lifecycle(
-                LifecycleEvent::new(Transition::Launched, object.0, version.0, now.ticks())
-                    .at_launch(now.ticks()),
-            );
-        }
-        self.in_flight.schedule_at(
-            timing.arrives,
-            Arrival {
-                object,
-                version,
-                launched_at: now.ticks(),
-                started_at: timing.starts.ticks(),
-            },
-        );
+        self.flight
+            .launch_recorded(object, version, size, self.tick, timing, &*self.recorder);
         true
     }
 
@@ -270,103 +245,82 @@ impl LatencyAwareSim {
         let mut arrived = 0usize;
         let mut units = 0u64;
         let mut served_after_wait = 0usize;
-        while let Some((_, arrival)) = self.in_flight.pop_until(now) {
-            let size = self.catalog.size_of(arrival.object);
+        loop {
+            self.waiters.clear();
+            let Some(a) =
+                self.flight
+                    .pop_arrival_recorded(self.tick, &mut self.waiters, &*self.recorder)
+            else {
+                break;
+            };
             self.cache
-                .insert(arrival.object, size, arrival.version, now)
+                .insert(a.object, a.size, a.version, now)
                 .expect("unbounded cache never refuses");
-            self.pending.remove(&arrival.object);
             arrived += 1;
-            units += size;
-            if observing {
+            units += a.size;
+            if observing && a.version != self.server.version_of(a.object) {
+                // Invalidated while on the wire.
+                self.recorder.incr(Event::StaleArrivals);
                 self.recorder.lifecycle(
                     LifecycleEvent::new(
-                        Transition::Arrived,
-                        arrival.object.0,
-                        arrival.version.0,
+                        Transition::InvalidatedStale,
+                        a.object.0,
+                        a.version.0,
                         self.tick,
                     )
-                    .at_launch(arrival.launched_at),
+                    .at_launch(a.launched_at),
                 );
-                if arrival.version != self.server.version_of(arrival.object) {
-                    // Invalidated while on the wire.
-                    self.recorder.incr(Event::StaleArrivals);
-                    self.recorder.lifecycle(
-                        LifecycleEvent::new(
-                            Transition::InvalidatedStale,
-                            arrival.object.0,
-                            arrival.version.0,
-                            self.tick,
-                        )
-                        .at_launch(arrival.launched_at),
-                    );
-                }
             }
 
-            let parked = std::mem::take(&mut self.waiting);
-            let mut still_parked = Vec::with_capacity(parked.len());
-            for w in parked {
-                if w.object == arrival.object {
-                    // The copy just arrived: delivered as fresh as the
-                    // server was when the transfer started (updates may
-                    // have landed while it was on the wire).
-                    let x = self.true_recency(w.object);
-                    let score = self.scoring.score(x, w.target_recency);
-                    self.stats.score.push(score);
-                    recency_acc.push(x);
-                    score_acc.push(score);
-                    let wait = now.since(w.issued_at).ticks() as f64;
-                    self.stats.wait_ticks.push(wait);
-                    self.stats.wait_p95.push(wait);
-                    self.recorder.sample(Sample::FetchLatencyTicks, wait);
-                    self.stats.waited += 1;
-                    if observing {
-                        // Decompose the wait: ticks spent while the
-                        // transfer sat in the link's queue vs. riding
-                        // the wire; the downlink serve is same-round.
-                        let issued = w.issued_at.ticks();
-                        let queueing = arrival.started_at.saturating_sub(issued);
-                        let on_wire = self.tick.saturating_sub(issued.max(arrival.started_at));
-                        self.recorder
-                            .sample(Sample::WaitQueueingTicks, queueing as f64);
-                        self.recorder
-                            .sample(Sample::WaitOnWireTicks, on_wire as f64);
-                        self.recorder.sample(Sample::WaitServeTicks, 0.0);
-                        self.recorder.lifecycle(
-                            LifecycleEvent::new(
-                                Transition::ServedFromWait,
-                                w.object.0,
-                                arrival.version.0,
-                                self.tick,
-                            )
-                            .at_launch(arrival.launched_at),
-                        );
-                    }
-                    self.downlink.deliver_recorded(
-                        now,
-                        ClientId(0),
-                        w.object,
-                        size,
-                        &*self.recorder,
+            // The copy just arrived: delivered as fresh as the server
+            // was when the transfer started (updates may have landed
+            // while it was on the wire).
+            let x = self.true_recency(a.object);
+            for w in &self.waiters {
+                let score = self.scoring.score(x, w.target_recency);
+                self.stats.score.push(score);
+                recency_acc.push(x);
+                score_acc.push(score);
+                let wait = (self.tick - w.issued_at) as f64;
+                self.stats.wait_ticks.push(wait);
+                self.stats.wait_p95.push(wait);
+                self.recorder.sample(Sample::FetchLatencyTicks, wait);
+                self.stats.waited += 1;
+                if observing {
+                    // Decompose the wait: ticks spent while the transfer
+                    // sat in the link's queue vs. riding the wire; the
+                    // downlink serve is same-round.
+                    let queueing = a.started_at.saturating_sub(w.issued_at);
+                    let on_wire = self.tick.saturating_sub(w.issued_at.max(a.started_at));
+                    self.recorder
+                        .sample(Sample::WaitQueueingTicks, queueing as f64);
+                    self.recorder
+                        .sample(Sample::WaitOnWireTicks, on_wire as f64);
+                    self.recorder.sample(Sample::WaitServeTicks, 0.0);
+                    self.recorder.lifecycle(
+                        LifecycleEvent::new(
+                            Transition::ServedFromWait,
+                            a.object.0,
+                            a.version.0,
+                            self.tick,
+                        )
+                        .at_launch(a.launched_at),
                     );
-                    served_after_wait += 1;
-                } else {
-                    still_parked.push(w);
                 }
+                self.downlink
+                    .deliver_recorded(now, ClientId(0), a.object, a.size, &*self.recorder);
+                served_after_wait += 1;
             }
-            self.waiting = still_parked;
         }
         drop(fetch_span);
 
         // 2. Plan this tick's downloads.
         let batch = RequestBatch::from_generated(requests);
         let mut launched = 0usize;
-        let mut launched_now: Vec<ObjectId> = Vec::new();
         // Mandatory fetches: requested objects with no cached copy.
         for object in batch.objects() {
             if !self.cache.contains(object) && self.launch(object, now) {
                 launched += 1;
-                launched_now.push(object);
             }
         }
         // Budgeted refreshes of stale cached copies.
@@ -381,9 +335,10 @@ impl LatencyAwareSim {
         }
 
         // 3. Serve what can be served now; requests for uncached objects
-        // park on the object's in-flight transfer — single-flight: joins
-        // of transfers launched in *earlier* ticks are coalesced fetches
-        // this pipeline always avoided re-launching.
+        // park on the object's in-flight transfer (step 2 launched one if
+        // none was on the wire) — single-flight: joins of transfers
+        // launched in *earlier* ticks are coalesced fetches this pipeline
+        // always avoided re-launching.
         let mut served_immediately = 0usize;
         let mut joined = 0usize;
         for r in requests {
@@ -415,7 +370,8 @@ impl LatencyAwareSim {
                     ));
                 }
             } else {
-                let rode_existing = !launched_now.contains(&r.object);
+                let launched_at = self.flight.join(r.object, r.target_recency, self.tick);
+                let rode_existing = launched_at < self.tick;
                 if rode_existing {
                     joined += 1;
                     self.recorder.incr(Event::FetchesCoalesced);
@@ -435,11 +391,6 @@ impl LatencyAwareSim {
                         self.tick,
                     ));
                 }
-                self.waiting.push(Waiting {
-                    object: r.object,
-                    target_recency: r.target_recency,
-                    issued_at: now,
-                });
             }
         }
 
@@ -457,11 +408,11 @@ impl LatencyAwareSim {
             joined,
             served_immediately,
             served_after_wait,
-            still_waiting: self.waiting.len(),
+            still_waiting: self.flight.waiting() as usize,
         };
         if observing {
             self.recorder
-                .sample(Sample::StillWaiting, self.waiting.len() as f64);
+                .sample(Sample::StillWaiting, outcome.still_waiting as f64);
             self.recorder
                 .sample(Sample::CachedUnits, self.cache.used() as f64);
         }

@@ -18,7 +18,6 @@ use basecache_net::{Catalog, ObjectId};
 use basecache_obs::{Event, NullRecorder, Recorder, Sample, Span, Stage};
 use basecache_workload::GeneratedRequest;
 
-use crate::engine::RoundEngine;
 use crate::profit::{build_instance, MappedInstance};
 use crate::recency::ScoringFunction;
 use crate::request::RequestBatch;
@@ -390,47 +389,6 @@ impl OnDemandPlanner {
             }
         }
         recorder.sample(Sample::PlanProfit, scratch.achieved_value);
-    }
-
-    /// Plan a round from a [`RoundEngine`]'s standing tables instead of a
-    /// flat request stream: absorb this round's recency vector, rescore
-    /// exactly the dirty objects, assemble the instance incrementally,
-    /// and solve it through the same (warm-started) solver seam as
-    /// [`Self::plan_requests_recorded`].
-    ///
-    /// Emits [`Sample::DirtyObjects`] and [`Sample::RescoredRequests`] so
-    /// flight recordings show how much work the dirty-set actually saved.
-    ///
-    /// Engine rounds are bit-identical to the engine's own full-rebuild
-    /// reference ([`RoundEngine::mark_all_dirty`] before every plan); they
-    /// are *not* bit-comparable to [`Self::plan_requests_recorded`], whose
-    /// base-score fold runs per request rather than per object (same
-    /// mathematics, different summation order — see the engine module
-    /// docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's scoring function differs from this
-    /// planner's, or if `recency` is shorter than the engine's table.
-    pub fn plan_engine_recorded<R: Recorder + ?Sized>(
-        &self,
-        engine: &mut RoundEngine,
-        recency: &[f64],
-        budget: u64,
-        scratch: &mut PlannerScratch,
-        recorder: &R,
-    ) {
-        assert_eq!(
-            engine.scoring(),
-            self.scoring,
-            "engine and planner must agree on the scoring function"
-        );
-        engine.observe_recency(recency);
-        engine.rescore();
-        recorder.sample(Sample::DirtyObjects, engine.dirty_objects() as f64);
-        recorder.sample(Sample::RescoredRequests, engine.rescored_requests() as f64);
-        engine.assemble_into(scratch);
-        self.solve_assembled(budget, scratch, recorder);
     }
 
     /// Allocation-free planning round through the adaptive reduction

@@ -20,9 +20,12 @@
 //!    engine — recording the recency and score delivered to each client.
 //!
 //! The paper's same-round download model is the ledger's zero-duration
-//! case (`bandwidth_per_round == 0`, the default): nothing is ever in
-//! flight across rounds, so stage 1 never lands anything and stage 5
-//! never parks a request.
+//! case (`bandwidth_per_round == 0`, the default): there is no link,
+//! nothing is ever in flight across rounds, so stage 1 never lands
+//! anything and stage 5 never parks a request. A timed station queues
+//! its downloads on a private latency-free [`Link`] of that bandwidth,
+//! which times each transfer for the ledger and answers the plan's
+//! committed-units and arrival-delay queries.
 //!
 //! The driver (experiment harness or example) owns the clock: it calls
 //! [`BaseStationSim::apply_update_wave`] (or per-object updates) whenever
@@ -31,14 +34,14 @@
 use basecache_cache::CacheStore;
 use basecache_knapsack::Item;
 use basecache_net::{
-    Catalog, InFlightConfig, InFlightLedger, InvalidationReport, ObjectId, ParkedWaiter,
-    RemoteServer, Version,
+    Catalog, InFlightConfig, InFlightLedger, InvalidationReport, Link, ObjectId, ParkedWaiter,
+    RemoteServer, TransferTiming, Version,
 };
 use basecache_obs::{
     Attr, Event, LifecycleEvent, NullRecorder, Recorder, Sample, Snapshot, Span, Stage, Transition,
 };
 use basecache_sim::metrics::Welford;
-use basecache_sim::SimTime;
+use basecache_sim::{SimDuration, SimTime};
 use basecache_workload::GeneratedRequest;
 
 use crate::asynch::AsyncRefresher;
@@ -136,14 +139,15 @@ pub struct StationStats {
     pub joined: u64,
 }
 
-/// In-flight download state: the ledger plus the reusable buffers the
-/// round needs, so steady-state rounds stay off the heap.
+/// In-flight download state: the ledger, the link that times its
+/// transfers, and the reusable buffers the round needs, so steady-state
+/// rounds stay off the heap.
 #[derive(Debug)]
 struct FlightState {
     ledger: InFlightLedger,
-    /// Requests entering the planner instance (single-flight joiners
-    /// excluded), rebuilt each round.
-    active_buf: Vec<GeneratedRequest>,
+    /// The fixed network a timed station queues its downloads on; `None`
+    /// when instant.
+    link: Option<Link>,
     /// Waiters drained from arriving transfers, rebuilt per arrival.
     waiters: Vec<ParkedWaiter>,
     /// `(object, launched_at)` of this round's arrivals, sorted by
@@ -157,12 +161,15 @@ impl FlightState {
         // A timed link's ring grows with the backlog; pre-size it so the
         // first busy rounds stay off the heap. Instant transfers land
         // right after launch and never need more than one slot.
-        if !ledger.is_instant() {
+        let link = if ledger.is_instant() {
+            None
+        } else {
             ledger.reserve(objects, 0);
-        }
+            Some(Link::new(config.bandwidth_per_round, SimDuration::ZERO))
+        };
         Self {
             ledger,
-            active_buf: Vec::new(),
+            link,
             waiters: Vec::new(),
             arrived: Vec::new(),
         }
@@ -250,6 +257,17 @@ impl BaseStationSim {
     /// [`crate::builder::StationBuilder::in_flight`].
     pub fn flight_ledger(&self) -> Option<&InFlightLedger> {
         Some(&self.flight.ledger)
+    }
+
+    /// Link units that transfers already in flight take out of this
+    /// round's budget — what the planner subtracts before commissioning
+    /// more downloads. Zero when instant.
+    pub fn committed_units(&self) -> u64 {
+        let now = SimTime::from_ticks(self.tick);
+        self.flight
+            .link
+            .as_ref()
+            .map_or(0, |link| link.committed_at(now))
     }
 
     /// The current time unit (number of steps taken).
@@ -580,17 +598,25 @@ impl BaseStationSim {
         // one entry and the refresh runs in ascending object order.
         {
             let _refresh_span = Span::enter(recorder, Stage::Refresh);
+            let now = SimTime::from_ticks(tick);
             for &id in &downloaded {
                 let version = self.server.version_of(id);
                 if observing {
                     let planned = LifecycleEvent::new(Transition::Planned, id.0, version.0, tick);
                     recorder.lifecycle(planned);
                 }
-                let ledger = &mut self.flight.ledger;
-                if ledger.is_object_active(id) {
+                let size = self.catalog.size_of(id);
+                let flight = &mut self.flight;
+                if flight.ledger.is_object_active(id) {
                     recorder.incr(Event::DuplicateFetches);
                 }
-                ledger.launch_recorded(id, version, self.catalog.size_of(id), tick, recorder);
+                let timing = match &mut flight.link {
+                    Some(link) => link.enqueue(now, size),
+                    None => TransferTiming::instant(now),
+                };
+                flight
+                    .ledger
+                    .launch_recorded(id, version, size, tick, timing, recorder);
                 if instant {
                     self.land_due(recorder, &mut tally, false);
                 }
@@ -770,32 +796,21 @@ impl BaseStationSim {
                 engine.assemble_into(&mut self.scratch);
             }
             Demand::Batch(requests) => {
-                // Requests that can ride an in-flight transfer stay out
-                // of the instance: they park on it in the serve stage.
-                let input: &[GeneratedRequest] = if joining {
-                    let flight = &mut self.flight;
-                    flight.active_buf.clear();
-                    flight.active_buf.extend(requests.iter().filter(|r| {
-                        let o = r.object;
-                        !(flight.ledger.joinable(o, self.server.version_of(o))
-                            && recency[o.index()] < 1.0)
-                    }));
-                    &flight.active_buf
-                } else {
-                    requests
-                };
-                planner.assemble_requests_into(input, &self.catalog, recency, &mut self.scratch);
+                planner.assemble_requests_into(requests, &self.catalog, recency, &mut self.scratch);
             }
         }
 
         let excluding = !self.plan_exclusions.is_empty();
         if joining || excluding {
-            // A joinable object can still reach the instance as a
-            // zero-profit item (fresh cache, redundant transfer active);
-            // drop such items so the single-flight contract holds no
-            // matter how the solver tie-breaks zero profit. L2-excluded
-            // objects (the region already holds or is fetching their
-            // current versions) are compacted out in the same pass.
+            // Requests that can ride an in-flight transfer park on it in
+            // the serve stage, so their object leaves the instance —
+            // each item sums only its own object's requests, so the rest
+            // are untouched. Dropping every joinable item, even a
+            // zero-profit one (fresh cache, redundant transfer active),
+            // keeps the single-flight contract no matter how the solver
+            // tie-breaks zero profit. L2-excluded objects (the region
+            // already holds or is fetching their current versions) are
+            // compacted out in the same pass.
             let scratch = &mut self.scratch;
             let mut keep = 0usize;
             for i in 0..scratch.items.len() {
@@ -812,22 +827,22 @@ impl BaseStationSim {
             scratch.items.truncate(keep);
             scratch.objects.truncate(keep);
         }
-        let budget = if instant {
-            budget_units
-        } else {
-            let tick = self.tick;
-            let ledger = &self.flight.ledger;
-            let committed = ledger.committed_at(tick);
-            if recorder.enabled() {
-                recorder.sample(Sample::CommittedUnits, committed as f64);
-            }
-            for item in self.scratch.items.iter_mut() {
-                let delay = ledger.arrival_delay(item.size(), tick);
-                if delay > 1 {
-                    *item = Item::new(item.size(), item.profit() / delay as f64);
+        let budget = match &self.flight.link {
+            None => budget_units,
+            Some(link) => {
+                let now = SimTime::from_ticks(self.tick);
+                let committed = link.committed_at(now);
+                if recorder.enabled() {
+                    recorder.sample(Sample::CommittedUnits, committed as f64);
                 }
+                for item in self.scratch.items.iter_mut() {
+                    let delay = link.arrival_delay(item.size(), now);
+                    if delay > 1 {
+                        *item = Item::new(item.size(), item.profit() / delay as f64);
+                    }
+                }
+                budget_units.saturating_sub(committed)
             }
-            budget_units.saturating_sub(committed)
         };
         planner.solve_assembled(budget, &mut self.scratch, recorder);
         downloaded.extend_from_slice(self.scratch.downloads());

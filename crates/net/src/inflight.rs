@@ -3,10 +3,12 @@
 //!
 //! The paper's model completes every download inside the time unit it is
 //! issued. [`InFlightLedger`] drops that assumption at the round
-//! granularity the planner works in: a transfer of `size` data units on a
-//! fixed network moving `bandwidth_per_round` units per round occupies
-//! the link for `ceil(size / bandwidth)` rounds (FIFO behind whatever is
-//! already queued) and only refreshes the cache when it *arrives*.
+//! granularity the planner works in: a transfer is launched in one round
+//! and only refreshes the cache when it *arrives*, in the round its link
+//! said it would. The ledger does not time transfers itself — the caller
+//! enqueues each payload on its fixed network (a FIFO [`crate::Link`],
+//! which holds the queue arithmetic) and hands the resulting
+//! [`TransferTiming`] to [`InFlightLedger::launch`].
 //!
 //! Three things make the ledger more than a delay line:
 //!
@@ -22,27 +24,25 @@
 //!   Coalescing can be disabled ([`InFlightConfig::coalesce`] = false)
 //!   to model the naive re-fetching baseline the flash-crowd experiment
 //!   measures against.
-//! * **Commitment accounting.** [`InFlightLedger::committed_at`] reports
-//!   how many link units already-accepted transfers will consume in a
-//!   given round, so the planner can subtract committed bandwidth from
-//!   its round budget, and [`InFlightLedger::arrival_delay`] reports how
-//!   many rounds a new transfer would take to arrive, so candidate
-//!   profits can be amortized over their arrival round.
-//! * **Determinism.** The FIFO queue makes completion order equal launch
-//!   order; arrival rounds are pure integer arithmetic over the backlog.
-//!   Replaying the same launches and joins replays the same arrivals,
-//!   waiter orders and statistics bit for bit.
+//! * **A FIFO ring.** Completion order is launch order, so arrivals pop
+//!   off the front of a ring. Arrival rounds are therefore non-decreasing
+//!   in launch order, which a FIFO link guarantees for every sized
+//!   payload.
+//! * **Determinism.** Replaying the same launches and joins replays the
+//!   same arrivals, waiter orders and statistics bit for bit.
 //!
 //! `bandwidth_per_round == 0` means *instant*: transfers arrive in the
-//! round they are launched, nothing commits bandwidth, and the whole
-//! subsystem degenerates to the paper's same-round download model — the
-//! base station's default round runs on an instant ledger.
+//! round they are launched ([`TransferTiming::instant`]), nothing stays
+//! in flight across rounds, and the whole subsystem degenerates to the
+//! paper's same-round download model — the base station's default round
+//! runs on an instant ledger.
 //!
 //! Steady-state operation allocates nothing: the transfer queue is a
 //! ring, waiters live in a free-listed pool, and both only grow while
 //! the simulation is warming up. See [`InFlightLedger`] for the bound on
 //! each buffer.
 
+use crate::link::TransferTiming;
 use crate::object::{ObjectId, Version};
 use basecache_obs::{LifecycleEvent, Recorder, Transition};
 use std::collections::VecDeque;
@@ -53,9 +53,11 @@ const NIL: u32 = u32::MAX;
 /// Configuration of an [`InFlightLedger`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InFlightConfig {
-    /// Fixed-network capacity in data units per round. `0` means
-    /// *instant*: transfers arrive in the round they are launched
-    /// (transfer-time zero — the paper's model).
+    /// Fixed-network capacity in data units per round, which the
+    /// ledger's owner times its transfers with. `0` means *instant*:
+    /// transfers arrive in the round they are launched (transfer-time
+    /// zero — the paper's model) and the ledger keeps no per-object
+    /// table.
     pub bandwidth_per_round: u64,
     /// Single-flight coalescing: when true (the default for real
     /// deployments), launching a duplicate of an in-flight
@@ -106,6 +108,9 @@ pub struct Arrived {
     pub size: u64,
     /// The round the transfer was launched.
     pub launched_at: u64,
+    /// The round its first unit went out on the link (later than
+    /// `launched_at` when the link's queue was backed up).
+    pub started_at: u64,
     /// Number of waiters drained with this arrival.
     pub waiters: usize,
 }
@@ -171,6 +176,7 @@ struct Transfer {
     version: Version,
     size: u64,
     launched_at: u64,
+    started_at: u64,
     arrives_at: u64,
     waiters_head: u32,
     waiters_tail: u32,
@@ -206,7 +212,7 @@ struct PerObject {
 ///   nothing to join, and [`Self::joinable`] / [`Self::is_object_active`]
 ///   always answer `false`.
 /// * **Transfer ring** — the peak number of transfers in flight at
-///   once. On a timed link that is bounded by the backlog the planner
+///   once. On a timed link that is bounded by the backlog the caller
 ///   lets build up; on an instant one it is at most one entry when the
 ///   caller pops each transfer right after launching it, as the base
 ///   station does.
@@ -226,9 +232,6 @@ pub struct InFlightLedger {
     slots: Vec<WaiterSlot>,
     free_head: u32,
     waiting: u64,
-    /// Undelivered units in the FIFO queue, as of round `as_of`.
-    backlog: u64,
-    as_of: u64,
     stats: LedgerStats,
 }
 
@@ -250,8 +253,6 @@ impl InFlightLedger {
             slots: Vec::new(),
             free_head: NIL,
             waiting: 0,
-            backlog: 0,
-            as_of: 0,
             stats: LedgerStats::default(),
         }
     }
@@ -285,35 +286,6 @@ impl InFlightLedger {
     /// Whether single-flight coalescing is on.
     pub fn coalesce(&self) -> bool {
         self.config.coalesce
-    }
-
-    /// Undelivered units still queued on the link as of round `now`.
-    pub fn backlog_at(&self, now: u64) -> u64 {
-        let elapsed = now.saturating_sub(self.as_of);
-        self.backlog
-            .saturating_sub(elapsed.saturating_mul(self.config.bandwidth_per_round))
-    }
-
-    /// Link units that already-accepted transfers will consume in round
-    /// `now` — what the planner subtracts from its round budget before
-    /// commissioning new downloads. Zero when instant or idle.
-    pub fn committed_at(&self, now: u64) -> u64 {
-        if self.is_instant() {
-            return 0;
-        }
-        self.backlog_at(now).min(self.config.bandwidth_per_round)
-    }
-
-    /// Rounds until a transfer of `size` launched in round `now` would
-    /// arrive (behind the current backlog). Zero when instant, at least
-    /// one otherwise — the divisor for amortizing a candidate's profit
-    /// over its arrival round.
-    pub fn arrival_delay(&self, size: u64, now: u64) -> u64 {
-        if self.is_instant() {
-            return 0;
-        }
-        let queued = self.backlog_at(now) + size;
-        queued.div_ceil(self.config.bandwidth_per_round)
     }
 
     /// Whether a request for `object` at the server's `current` version
@@ -380,19 +352,38 @@ impl InFlightLedger {
         t.launched_at
     }
 
-    /// Launch a transfer of `object` at the server's `version`,
-    /// `size > 0` data units, in round `now`. Returns the round it will
-    /// arrive (`now` itself when instant).
+    /// Launch a transfer of `object` at the server's `version`, `size`
+    /// data units, in round `now`, timed by the caller's link: `timing`
+    /// is what [`crate::Link::enqueue`] answered for the payload, or
+    /// [`TransferTiming::instant`] when there is no link to cross.
+    /// Returns the round it will arrive.
+    ///
+    /// Arrival rounds must not precede `now`, and the ring pops in launch
+    /// order, so they must be non-decreasing in launch order too. A FIFO
+    /// link keeps that for every sized payload; a zero-size payload can
+    /// start — and so arrive — ahead of a partly drained predecessor, and
+    /// is held back to its predecessor's arrival round.
     ///
     /// # Panics
     ///
-    /// Panics if `size == 0`, if `now` runs backwards, or — under
-    /// coalescing — if an active transfer for the same
-    /// `(object, version)` already exists (the single-flight contract:
-    /// such requests must [`Self::join`] instead).
-    pub fn launch(&mut self, object: ObjectId, version: Version, size: u64, now: u64) -> u64 {
-        assert!(size > 0, "zero-size transfer");
-        assert!(now >= self.as_of, "ledger time ran backwards");
+    /// Panics if `timing` arrives before `now`, or — under coalescing —
+    /// if an active transfer for the same `(object, version)` already
+    /// exists (the single-flight contract: such requests must
+    /// [`Self::join`] instead).
+    pub fn launch(
+        &mut self,
+        object: ObjectId,
+        version: Version,
+        size: u64,
+        now: u64,
+        timing: TransferTiming,
+    ) -> u64 {
+        let started_at = timing.starts.ticks();
+        let mut arrives_at = timing.arrives.ticks();
+        assert!(arrives_at >= now, "transfer arrives before its launch");
+        if let Some(last) = self.transfers.back() {
+            arrives_at = arrives_at.max(last.arrives_at);
+        }
         if self.config.coalesce {
             assert!(
                 !self.joinable(object, version),
@@ -402,13 +393,6 @@ impl InFlightLedger {
         if self.is_object_active(object) {
             self.stats.duplicate_launches += 1;
         }
-        self.drain_to(now);
-        let arrives_at = if self.is_instant() {
-            now
-        } else {
-            self.backlog += size;
-            now + self.backlog.div_ceil(self.config.bandwidth_per_round)
-        };
         let seq = self.next_seq;
         self.next_seq += 1;
         self.transfers.push_back(Transfer {
@@ -416,6 +400,7 @@ impl InFlightLedger {
             version,
             size,
             launched_at: now,
+            started_at,
             arrives_at,
             waiters_head: NIL,
             waiters_tail: NIL,
@@ -439,7 +424,6 @@ impl InFlightLedger {
         now: u64,
         waiters_out: &mut Vec<ParkedWaiter>,
     ) -> Option<Arrived> {
-        self.drain_to(now);
         if self.transfers.front()?.arrives_at > now {
             return None;
         }
@@ -469,6 +453,7 @@ impl InFlightLedger {
             version: t.version,
             size: t.size,
             launched_at: t.launched_at,
+            started_at: t.started_at,
             waiters: served,
         })
     }
@@ -482,9 +467,10 @@ impl InFlightLedger {
         version: Version,
         size: u64,
         now: u64,
+        timing: TransferTiming,
         recorder: &R,
     ) -> u64 {
-        let arrives_at = self.launch(object, version, size, now);
+        let arrives_at = self.launch(object, version, size, now, timing);
         recorder.lifecycle(
             LifecycleEvent::new(Transition::Launched, object.0, version.0, now).at_launch(now),
         );
@@ -579,16 +565,13 @@ impl InFlightLedger {
     fn tracked_mut(&mut self, object: ObjectId) -> Option<&mut PerObject> {
         (!self.is_instant()).then(|| &mut self.per_object[object.index()])
     }
-
-    fn drain_to(&mut self, now: u64) {
-        self.backlog = self.backlog_at(now);
-        self.as_of = self.as_of.max(now);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::Link;
+    use basecache_sim::{SimDuration, SimTime};
 
     fn ledger(bandwidth: u64, coalesce: bool) -> InFlightLedger {
         InFlightLedger::new(
@@ -600,40 +583,78 @@ mod tests {
         )
     }
 
+    /// A transfer launched at `now` that goes out at once and arrives at
+    /// `arrives`.
+    fn timed(now: u64, arrives: u64) -> TransferTiming {
+        TransferTiming {
+            starts: SimTime::from_ticks(now),
+            frees_link: SimTime::from_ticks(arrives),
+            arrives: SimTime::from_ticks(arrives),
+        }
+    }
+
     #[test]
-    fn transfer_time_is_size_over_bandwidth() {
+    fn transfers_land_in_the_round_their_timing_says() {
         let mut l = ledger(10, true);
-        // 25 units over a 10-units/round link: arrives 3 rounds later.
-        assert_eq!(l.launch(ObjectId(0), Version(0), 25, 0), 3);
-        assert_eq!(l.committed_at(0), 10);
-        assert_eq!(l.committed_at(1), 10);
-        assert_eq!(l.committed_at(2), 5);
-        assert_eq!(l.committed_at(3), 0);
+        assert_eq!(l.launch(ObjectId(0), Version(0), 25, 0, timed(0, 3)), 3);
         let mut w = Vec::new();
         assert!(l.pop_arrival(2, &mut w).is_none());
         let a = l.pop_arrival(3, &mut w).expect("arrives at 3");
         assert_eq!(a.object, ObjectId(0));
-        assert_eq!(a.launched_at, 0);
+        assert_eq!((a.launched_at, a.started_at), (0, 0));
         assert_eq!(l.active_transfers(), 0);
     }
 
     #[test]
-    fn fifo_backlog_serializes_transfers_in_launch_order() {
+    fn link_timed_transfers_land_in_launch_order() {
+        let mut link = Link::new(10, SimDuration::ZERO);
         let mut l = ledger(10, true);
-        assert_eq!(l.launch(ObjectId(0), Version(0), 10, 0), 1);
-        assert_eq!(l.launch(ObjectId(1), Version(0), 10, 0), 2, "queued");
-        assert_eq!(l.launch(ObjectId(2), Version(0), 5, 1), 3, "behind both");
+        for (id, size, now) in [(0, 10, 0), (1, 10, 0), (2, 5, 1)] {
+            let timing = link.enqueue(SimTime::from_ticks(now), size);
+            l.launch(ObjectId(id), Version(0), size, now, timing);
+        }
         let mut w = Vec::new();
-        let order: Vec<ObjectId> = (1..=3)
-            .filter_map(|t| l.pop_arrival(t, &mut w).map(|a| a.object))
+        let landed: Vec<(ObjectId, u64)> = (1..=3)
+            .filter_map(|t| l.pop_arrival(t, &mut w).map(|a| (a.object, a.started_at)))
             .collect();
-        assert_eq!(order, [ObjectId(0), ObjectId(1), ObjectId(2)]);
+        assert_eq!(
+            landed,
+            [(ObjectId(0), 0), (ObjectId(1), 1), (ObjectId(2), 2)],
+            "FIFO, each starting once the units ahead of it drained"
+        );
+    }
+
+    #[test]
+    fn zero_size_payload_is_held_behind_its_predecessor() {
+        // At tick 1 one of the first payload's three units is left on a
+        // 2-units/tick link: a zero-size payload starts (and, with no
+        // latency, arrives) at tick 1, ahead of the tick-2 arrival it
+        // queued behind. The ring holds it back to tick 2.
+        let mut link = Link::new(2, SimDuration::ZERO);
+        let mut l = ledger(2, true);
+        let first = link.enqueue(SimTime::ZERO, 3);
+        assert_eq!(l.launch(ObjectId(0), Version(0), 3, 0, first), 2);
+        let empty = link.enqueue(SimTime::from_ticks(1), 0);
+        assert_eq!(empty.arrives, SimTime::from_ticks(1));
+        assert_eq!(l.launch(ObjectId(1), Version(0), 0, 1, empty), 2);
+        let mut w = Vec::new();
+        assert!(l.pop_arrival(1, &mut w).is_none());
+        let order: Vec<ObjectId> = std::iter::from_fn(|| l.pop_arrival(2, &mut w))
+            .map(|a| a.object)
+            .collect();
+        assert_eq!(order, [ObjectId(0), ObjectId(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrives before its launch")]
+    fn rejects_arrivals_before_the_launch_round() {
+        ledger(2, true).launch(ObjectId(0), Version(0), 1, 5, timed(4, 4));
     }
 
     #[test]
     fn joiners_drain_with_their_transfer_in_join_order() {
         let mut l = ledger(5, true);
-        l.launch(ObjectId(3), Version(0), 10, 0);
+        l.launch(ObjectId(3), Version(0), 10, 0, timed(0, 2));
         assert!(l.joinable(ObjectId(3), Version(0)));
         assert_eq!(l.join(ObjectId(3), 0.9, 1), 0, "joined round-0 launch");
         l.join(ObjectId(3), 0.4, 1);
@@ -653,20 +674,20 @@ mod tests {
     #[should_panic(expected = "single-flight violation")]
     fn coalescing_rejects_duplicate_object_version_launches() {
         let mut l = ledger(5, true);
-        l.launch(ObjectId(1), Version(0), 10, 0);
-        l.launch(ObjectId(1), Version(0), 10, 0);
+        l.launch(ObjectId(1), Version(0), 10, 0, timed(0, 2));
+        l.launch(ObjectId(1), Version(0), 10, 0, timed(0, 4));
     }
 
     #[test]
     fn invalidated_versions_are_not_joinable_but_fresh_refetch_is_allowed() {
         let mut l = ledger(5, true);
-        l.launch(ObjectId(1), Version(0), 10, 0);
+        l.launch(ObjectId(1), Version(0), 10, 0, timed(0, 2));
         // Server moved to version 1 while the fetch is on the wire: the
         // stale flight must not absorb joiners...
         assert!(!l.joinable(ObjectId(1), Version(1)));
         // ...and a fetch of the fresh version is legal under
         // single-flight (different version).
-        l.launch(ObjectId(1), Version(1), 10, 1);
+        l.launch(ObjectId(1), Version(1), 10, 1, timed(1, 4));
         assert_eq!(l.stats().duplicate_launches, 1);
         assert!(l.joinable(ObjectId(1), Version(1)));
         // The joiner attaches to the fresh transfer, not the stale one.
@@ -683,9 +704,9 @@ mod tests {
     #[test]
     fn naive_mode_accepts_duplicates_and_counts_them() {
         let mut l = ledger(5, false);
-        l.launch(ObjectId(0), Version(0), 10, 0);
-        l.launch(ObjectId(0), Version(0), 10, 0);
-        l.launch(ObjectId(0), Version(0), 10, 1);
+        l.launch(ObjectId(0), Version(0), 10, 0, timed(0, 2));
+        l.launch(ObjectId(0), Version(0), 10, 0, timed(0, 4));
+        l.launch(ObjectId(0), Version(0), 10, 1, timed(1, 6));
         assert_eq!(l.stats().duplicate_launches, 2);
         assert_eq!(l.active_transfers(), 3);
     }
@@ -694,9 +715,15 @@ mod tests {
     fn instant_mode_degenerates_to_same_round_arrivals() {
         let mut l = ledger(0, true);
         assert!(l.is_instant());
-        assert_eq!(l.launch(ObjectId(2), Version(0), 1_000, 7), 7);
-        assert_eq!(l.committed_at(7), 0);
-        assert_eq!(l.arrival_delay(1_000, 7), 0);
+        let now = SimTime::from_ticks(7);
+        let arrives = l.launch(
+            ObjectId(2),
+            Version(0),
+            1_000,
+            7,
+            TransferTiming::instant(now),
+        );
+        assert_eq!(arrives, 7);
         let mut w = Vec::new();
         let a = l.pop_arrival(7, &mut w).expect("same-round arrival");
         assert_eq!(a.launched_at, 7);
@@ -706,7 +733,7 @@ mod tests {
     fn instant_ledger_keeps_no_per_object_table() {
         let mut l = InFlightLedger::new(InFlightConfig::coalescing(0), 1_000_000);
         assert!(l.per_object.is_empty(), "no catalog-sized buffer");
-        l.launch(ObjectId(999_999), Version(0), 5, 3);
+        l.launch(ObjectId(999_999), Version(0), 5, 3, timed(3, 3));
         assert!(!l.joinable(ObjectId(999_999), Version(0)));
         assert!(!l.is_object_active(ObjectId(999_999)));
         let mut w = Vec::new();
@@ -719,22 +746,12 @@ mod tests {
     }
 
     #[test]
-    fn arrival_delay_reflects_backlog() {
-        let mut l = ledger(10, true);
-        assert_eq!(l.arrival_delay(10, 0), 1);
-        assert_eq!(l.arrival_delay(25, 0), 3);
-        l.launch(ObjectId(0), Version(0), 30, 0);
-        assert_eq!(l.arrival_delay(10, 0), 4, "behind 30 queued units");
-        assert_eq!(l.arrival_delay(10, 2), 2, "backlog drained to 10");
-    }
-
-    #[test]
     fn recorded_variants_fire_matching_lifecycle_events() {
         use basecache_obs::LifecycleRecorder;
 
         let rec = LifecycleRecorder::new(8, 32);
         let mut l = ledger(5, true);
-        l.launch_recorded(ObjectId(3), Version(2), 10, 0, &rec);
+        l.launch_recorded(ObjectId(3), Version(2), 10, 0, timed(0, 2), &rec);
         l.join_recorded(ObjectId(3), 0.9, 1, &rec);
         let mut w = Vec::new();
         let a = l
@@ -757,8 +774,8 @@ mod tests {
         let null = basecache_obs::NullRecorder;
         let mut a = ledger(5, true);
         let mut b = ledger(5, true);
-        a.launch(ObjectId(0), Version(0), 10, 0);
-        b.launch_recorded(ObjectId(0), Version(0), 10, 0, &null);
+        a.launch(ObjectId(0), Version(0), 10, 0, timed(0, 2));
+        b.launch_recorded(ObjectId(0), Version(0), 10, 0, timed(0, 2), &null);
         a.join(ObjectId(0), 0.5, 1);
         b.join_recorded(ObjectId(0), 0.5, 1, &null);
         let mut wa = Vec::new();
@@ -778,9 +795,10 @@ mod tests {
         let mut w = Vec::with_capacity(8);
         for round in 0u64..50 {
             let now = round * 2;
-            l.launch(ObjectId((round % 4) as u32), Version(round), 10, now);
+            let id = ObjectId((round % 4) as u32);
+            l.launch(id, Version(round), 10, now, timed(now, now + 2));
             for _ in 0..4 {
-                l.join(ObjectId((round % 4) as u32), 1.0, now);
+                l.join(id, 1.0, now);
             }
             w.clear();
             while l.pop_arrival(now + 2, &mut w).is_some() {}

@@ -42,6 +42,17 @@ pub struct TransferTiming {
     pub arrives: SimTime,
 }
 
+impl TransferTiming {
+    /// A payload that crosses no link: it leaves and arrives at `now`.
+    pub fn instant(now: SimTime) -> Self {
+        Self {
+            starts: now,
+            frees_link: now,
+            arrives: now,
+        }
+    }
+}
+
 impl Link {
     /// Create a link shipping `bandwidth_per_tick` data units per tick
     /// with a fixed `latency`.
@@ -67,40 +78,71 @@ impl Link {
         Self::new(u64::MAX, SimDuration::ZERO)
     }
 
-    /// Drain the backlog up to `now`.
-    fn drain(&mut self, now: SimTime) {
-        assert!(
-            now >= self.queue_as_of,
-            "transfers must be enqueued in non-decreasing time order \
-             ({now} precedes {})",
-            self.queue_as_of
-        );
-        let elapsed = now.since(self.queue_as_of).ticks();
-        let drained = elapsed.saturating_mul(self.bandwidth_per_tick);
-        self.queue_units = self.queue_units.saturating_sub(drained);
-        self.queue_as_of = now;
+    /// Unsent units left in the backlog at `now` (at or after the last
+    /// enqueue): the fluid queue drains `bandwidth_per_tick` per tick.
+    fn backlog_at(&self, now: SimTime) -> u64 {
+        let elapsed = now.ticks().saturating_sub(self.queue_as_of.ticks());
+        self.queue_units
+            .saturating_sub(elapsed.saturating_mul(self.bandwidth_per_tick))
+    }
+
+    /// Timing of a `size`-unit payload enqueued at `now` behind the
+    /// backlog: it starts once the units ahead of it have drained (whole
+    /// ticks, rounded down), frees the link once it has drained itself
+    /// (rounded up) and arrives `latency` later. A zero-size payload
+    /// frees the link the tick it starts.
+    fn timing(&self, now: SimTime, size: u64) -> TransferTiming {
+        let queued = self.backlog_at(now);
+        let starts = now + SimDuration::from_ticks(queued / self.bandwidth_per_tick);
+        let frees_link = if size == 0 {
+            starts
+        } else {
+            now + SimDuration::from_ticks((queued + size).div_ceil(self.bandwidth_per_tick))
+        };
+        TransferTiming {
+            starts,
+            frees_link,
+            arrives: frees_link + self.latency,
+        }
     }
 
     /// Enqueue a transfer of `size` data units at time `now`; returns
     /// when it starts draining, fully drains, and arrives. Zero-size
     /// transfers pass through at their queue position and cost only the
     /// latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` precedes the previous enqueue.
     pub fn enqueue(&mut self, now: SimTime, size: u64) -> TransferTiming {
-        self.drain(now);
-        let starts = now + SimDuration::from_ticks(self.queue_units / self.bandwidth_per_tick);
-        let frees_link = if size == 0 {
-            starts
-        } else {
-            self.queue_units += size;
-            now + SimDuration::from_ticks(self.queue_units.div_ceil(self.bandwidth_per_tick))
-        };
+        assert!(
+            now >= self.queue_as_of,
+            "transfers must be enqueued in non-decreasing time order \
+             ({now} precedes {})",
+            self.queue_as_of
+        );
+        let timing = self.timing(now, size);
+        self.queue_units = self.backlog_at(now) + size;
+        self.queue_as_of = now;
         self.bytes_sent += size;
         self.transfers += 1;
-        TransferTiming {
-            starts,
-            frees_link,
-            arrives: frees_link + self.latency,
-        }
+        timing
+    }
+
+    /// Units that transfers already accepted put on the wire during tick
+    /// `now`: the backlog drained to `now`, capped at one tick's
+    /// bandwidth. What a planner subtracts from its per-tick budget
+    /// before commissioning more.
+    pub fn committed_at(&self, now: SimTime) -> u64 {
+        self.backlog_at(now).min(self.bandwidth_per_tick)
+    }
+
+    /// Ticks until a `size`-unit payload enqueued at `now` would arrive,
+    /// behind the current backlog — what [`Self::enqueue`] would answer,
+    /// without enqueuing. A planner amortizes a candidate's profit over
+    /// it.
+    pub fn arrival_delay(&self, size: u64, now: SimTime) -> u64 {
+        self.timing(now, size).arrives.since(now).ticks()
     }
 
     /// When the current backlog fully drains (equals the enqueue time of
@@ -279,6 +321,42 @@ mod tests {
         assert_eq!(link.backlog_units(), 35);
         assert_eq!(tt.starts, t(10), "starts after the 30 remaining units");
         assert_eq!(tt.frees_link, t(7 + 4), "ceil(35/10) = 4 more ticks");
+    }
+
+    #[test]
+    fn committed_units_drain_a_tick_at_a_time() {
+        // 25 units over a 10-units/tick link arrive 3 ticks later and
+        // commit 10, 10, 5 units of the ticks they cross.
+        let mut link = Link::new(10, SimDuration::ZERO);
+        assert_eq!(link.enqueue(t(0), 25).arrives, t(3));
+        let committed: Vec<u64> = (0..4).map(|x| link.committed_at(t(x))).collect();
+        assert_eq!(committed, [10, 10, 5, 0]);
+    }
+
+    #[test]
+    fn fifo_backlog_serializes_payloads_in_enqueue_order() {
+        let mut link = Link::new(10, SimDuration::ZERO);
+        assert_eq!(link.enqueue(t(0), 10).arrives, t(1));
+        assert_eq!(link.enqueue(t(0), 10).arrives, t(2), "queued");
+        assert_eq!(link.enqueue(t(1), 5).arrives, t(3), "behind both");
+    }
+
+    #[test]
+    fn arrival_delay_reflects_backlog_and_latency() {
+        let mut link = Link::new(10, SimDuration::ZERO);
+        assert_eq!(link.arrival_delay(10, t(0)), 1);
+        assert_eq!(link.arrival_delay(25, t(0)), 3);
+        link.enqueue(t(0), 30);
+        assert_eq!(link.arrival_delay(10, t(0)), 4, "behind 30 queued units");
+        assert_eq!(link.arrival_delay(10, t(2)), 2, "backlog drained to 10");
+        let late = Link::new(10, SimDuration::from_ticks(3));
+        assert_eq!(late.arrival_delay(10, t(5)), 4, "one tick on the wire + 3");
+        // The query answers exactly what an enqueue would.
+        let mut probe = link.clone();
+        assert_eq!(
+            probe.enqueue(t(2), 7).arrives,
+            t(2) + SimDuration::from_ticks(link.arrival_delay(7, t(2)))
+        );
     }
 
     #[test]

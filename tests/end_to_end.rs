@@ -194,3 +194,63 @@ fn no_updates_means_everything_converges_to_fresh() {
     assert!(station.stats().units_downloaded <= 40);
     assert!(station.stats().score.mean().unwrap() > 0.99);
 }
+
+#[test]
+fn zero_size_objects_are_downloaded_and_served() {
+    use basecache::core::RoundOutcome;
+    use basecache::net::{Downlink, InFlightConfig, Link, ObjectId, SharedLink};
+    use basecache::sim::SimDuration;
+    use basecache::workload::GeneratedRequest;
+
+    // A catalog may hold empty objects. Every station downloads them
+    // like any other, without panicking the round: an instant station
+    // serves them fresh at once, timed ones a round or more later.
+    let catalog = || Catalog::from_sizes(&[0, 1, 2]);
+    let batch: Vec<GeneratedRequest> = [0, 2, 0, 1]
+        .into_iter()
+        .map(|o| GeneratedRequest {
+            object: ObjectId(o),
+            target_recency: 1.0,
+        })
+        .collect();
+    let served = |outcomes: &[RoundOutcome]| outcomes.iter().map(|o| o.served).sum::<usize>();
+
+    for flight in [None, Some(1), Some(3)] {
+        let mut builder =
+            StationBuilder::new(catalog()).on_demand(OnDemandPlanner::paper_default(), 4);
+        if let Some(bandwidth) = flight {
+            builder = builder.in_flight(InFlightConfig::coalescing(bandwidth));
+        }
+        let mut station = builder.build().unwrap();
+        let mut outcomes = vec![station.step(&batch)];
+        if flight.is_none() {
+            assert_eq!(
+                station.last_downloaded(),
+                &[ObjectId(0), ObjectId(1), ObjectId(2)]
+            );
+            assert_eq!(outcomes[0].served, 4);
+            assert_eq!(outcomes[0].average_score, 1.0);
+        }
+        station.apply_update_wave();
+        outcomes.push(station.step(&batch));
+        outcomes.extend((0..6).map(|_| station.step(&[])));
+        assert_eq!(served(&outcomes), 8, "{flight:?}");
+        assert_eq!(outcomes.last().unwrap().still_waiting, 0, "{flight:?}");
+    }
+
+    for latency in [0, 2] {
+        let mut sim = StationBuilder::new(catalog())
+            .on_demand(OnDemandPlanner::paper_default(), 4)
+            .build_latency_aware(
+                SharedLink::new(Link::new(1, SimDuration::from_ticks(latency))),
+                Downlink::new(8, SimDuration::ZERO),
+            )
+            .expect("valid latency configuration");
+        let mut outcomes = vec![sim.step(&batch)];
+        sim.apply_update_wave();
+        outcomes.push(sim.step(&batch));
+        outcomes.extend((0..8).map(|_| sim.step(&[])));
+        assert_eq!(served(&outcomes), 8, "latency {latency}");
+        assert_eq!(outcomes.last().unwrap().still_waiting, 0);
+    }
+}
