@@ -158,8 +158,9 @@ impl StationBuilder {
     }
 
     /// Configure the station's in-flight ledger. On a timed link
-    /// (`bandwidth_per_round > 0`) downloads occupy the link for
-    /// `size / bandwidth` rounds before landing, requests for an object
+    /// (`bandwidth_per_round > 0`) downloads queue FIFO on a private
+    /// link of that bandwidth, occupying it for `size / bandwidth`
+    /// rounds before landing, requests for an object
     /// already on the wire join the in-flight fetch (single-flight,
     /// unless [`InFlightConfig::naive`]), and the planner subtracts
     /// committed bandwidth from each round's budget. Requires the

@@ -22,7 +22,8 @@
 //! * [`topology`] — cells, base stations and mobile clients with
 //!   handoff/disconnect, exercised by the `mobile_cell` example.
 //! * [`inflight`] — [`InFlightLedger`]: multi-round transfers with
-//!   single-flight coalescing and commitment accounting.
+//!   single-flight coalescing and parked waiters, timed by the caller's
+//!   [`Link`].
 //! * [`invalidation`] — server invalidation reports, plus the regional
 //!   [`VersionBus`] version pub/sub the L2 tier's coherence rides.
 //! * [`intercell`] — [`InterCellLink`]: the per-round unit budget of the
